@@ -47,19 +47,25 @@ impl GcStats {
 
 /// Prunes one record's chain against the watermark. Exposed for tests;
 /// engines call [`gc_table`] / [`gc_db`].
+///
+/// A chain whose at-or-below-watermark prefix is already one full image
+/// is left untouched: rewriting it would allocate for nothing and mark
+/// the chain dirty for the next delta checkpoint. Only real rewrites
+/// count in [`GcStats::consolidated`].
 pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
-    // Reconstruct the row at the watermark *before* taking the write
-    // lock (reads take the shared lock internally).
-    let boundary = node.version_at(watermark);
     let mut stats = GcStats { nodes: 1, ..Default::default() };
-    let Some((boundary_txn, boundary_ts, boundary_op)) = boundary else {
-        // Nothing visible at the watermark: every version is newer;
-        // nothing can be pruned.
+    // Nothing visible at the watermark (every version is newer), or the
+    // visible prefix is already consolidated: nothing to prune.
+    let boundary = node.version_at(watermark);
+    let Some((boundary_txn, boundary_ts, _)) =
+        boundary.filter(|_| !node.is_consolidated_at(watermark))
+    else {
         stats.retained = node.version_count();
         return stats;
     };
+    // Reconstruct the row at the watermark *before* taking the write
+    // lock (reads take the shared lock internally).
     let image = node.read_at(watermark);
-    let _ = boundary_op;
     node.replace_prefix(watermark, || {
         // Build the consolidated boundary version: a full row image, or a
         // tombstone when the row is invisible at the watermark.
@@ -68,7 +74,7 @@ pub fn gc_node(node: &RecordNode, watermark: Timestamp) -> GcStats {
             txn_id: boundary_txn,
             commit_ts: boundary_ts,
             op,
-            cols: image.clone().unwrap_or_default(),
+            cols: image.unwrap_or_default(),
         }
     });
     // Recompute stats from the chain after replacement.
@@ -287,6 +293,41 @@ mod tests {
         assert_eq!(stats.consolidated, 0);
         assert_eq!(n.version_count(), 4);
         assert_eq!(n.read_at(Timestamp::from_micros(9)), None);
+    }
+
+    #[test]
+    fn second_pass_at_the_same_watermark_rewrites_nothing() {
+        let db = MemDb::new(1);
+        let t = db.table(TableId::new(0));
+        // A lone insert, a lone tombstone, a partial-update history, and
+        // a chain whose versions all sit above the watermark.
+        t.apply_version(RowKey::new(1), ver(1, 10, OpType::Insert, vec![(0, 1)]));
+        t.apply_version(RowKey::new(2), ver(2, 15, OpType::Delete, vec![]));
+        for (i, v) in node_with_history().versions_snapshot().into_iter().enumerate() {
+            t.apply_version(RowKey::new(3), Version { txn_id: TxnId::new(3 + i as u64), ..v });
+        }
+        t.apply_version(RowKey::new(4), ver(9, 90, OpType::Insert, vec![(0, 9)]));
+        let watermark = Timestamp::from_micros(35);
+        let probes = [0u64, 10, 15, 20, 30, 35, 40, 90, u64::MAX].map(Timestamp::from_micros);
+        let first = gc_db(&db, watermark);
+        assert_eq!(first.consolidated, 1, "only the partial-update history needs a rewrite");
+        let digests: Vec<u64> = probes.iter().map(|ts| db.digest_at(*ts)).collect();
+        let versions = db.total_versions();
+        // A full checkpoint cut clears every dirty mark.
+        crate::encode_chains(
+            &mut bytes::BytesMut::new(),
+            &db,
+            Timestamp::MAX,
+            crate::ChainFilter::TakeAll,
+        );
+
+        let second = gc_db(&db, watermark);
+        assert_eq!(second.consolidated, 0, "a consolidated chain is not rewritten again");
+        assert_eq!(second.pruned, 0);
+        assert_eq!(db.total_versions(), versions);
+        assert_eq!(t.dirty_count(), 0, "no chain was touched");
+        let again: Vec<u64> = probes.iter().map(|ts| db.digest_at(*ts)).collect();
+        assert_eq!(again, digests, "digest_at moved at some timestamp");
     }
 
     #[test]

@@ -19,5 +19,5 @@ pub use bptree::BPlusTree;
 pub use gc::{gc_db, gc_node, gc_table, FloorTicket, GcStats, QueryFloor};
 pub use query::{compare_values, Aggregate, CmpOp, Filter, Scan};
 pub use record::{OpType, RecordNode, Version};
-pub use snapshot::{decode_db, encode_db};
+pub use snapshot::{apply_snapshot, decode_db, encode_chains, encode_db, ChainFilter};
 pub use table::{MemDb, Table};

@@ -7,6 +7,7 @@
 
 use aets_common::{ColumnId, Row, Timestamp, TxnId};
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The kind of DML a version carries. Alias of the shared log-level
 /// operation enum: a version chain stores exactly what the value log said.
@@ -30,9 +31,16 @@ pub struct Version {
 /// The node address is stable for the record's lifetime: TPLR's phase 1
 /// stores `Arc<RecordNode>` pointers in transaction contexts, and phase 2
 /// appends to `versions` without touching the table index (Figure 6).
+///
+/// The node also carries a *dirty* mark for incremental checkpoints: every
+/// append or GC rewrite sets it while holding the exclusive lock, and the
+/// snapshot codec clears it under the shared lock as it reads the chain,
+/// so a delta checkpoint carries exactly the chains changed since the
+/// previous cut.
 #[derive(Debug, Default)]
 pub struct RecordNode {
     versions: RwLock<Vec<Version>>,
+    dirty: AtomicBool,
 }
 
 impl RecordNode {
@@ -57,6 +65,7 @@ impl RecordNode {
             chain.last().map(|l| l.txn_id),
         );
         chain.push(v);
+        self.dirty.store(true, Ordering::Relaxed);
     }
 
     /// Number of versions in the chain.
@@ -134,15 +143,60 @@ impl RecordNode {
         }
         let boundary = make_boundary();
         debug_assert!(boundary.commit_ts <= watermark, "boundary beyond watermark");
-        let mut replaced = Vec::with_capacity(1 + chain.len() - end);
-        replaced.push(boundary);
-        replaced.extend(chain.drain(end..));
-        *chain = replaced;
+        chain.splice(..end, std::iter::once(boundary));
+        self.dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Clones the full version chain under the shared lock. Used by the
-    /// checkpoint snapshot codec, which serializes chains while the
-    /// engine is quiesced at an epoch barrier.
+    /// Whether the versions at-or-below `watermark` are already one full
+    /// image — a single insert or tombstone, the shape GC consolidates
+    /// to — so a GC pass at `watermark` has nothing to rewrite.
+    pub fn is_consolidated_at(&self, watermark: Timestamp) -> bool {
+        let chain = self.versions.read();
+        chain.partition_point(|v| v.commit_ts <= watermark) == 1 && chain[0].op != OpType::Update
+    }
+
+    /// Runs `f` over the version chain under the shared lock, passing
+    /// whether the chain changed since the last call that cleared the
+    /// mark. With `clear_dirty` the mark is cleared before the lock is
+    /// released, so a concurrent append can never be both missed by `f`
+    /// and unmarked. Used by the checkpoint snapshot codec, which
+    /// serializes chains in place while the engine is quiesced at an
+    /// epoch barrier.
+    pub fn with_versions<R>(&self, clear_dirty: bool, f: impl FnOnce(&[Version], bool) -> R) -> R {
+        let chain = self.versions.read();
+        let dirty = if clear_dirty {
+            self.dirty.swap(false, Ordering::Relaxed)
+        } else {
+            self.dirty.load(Ordering::Relaxed)
+        };
+        f(&chain, dirty)
+    }
+
+    /// Whether the chain changed since the checkpoint codec last read it.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty.load(Ordering::Relaxed)
+    }
+
+    /// Marks the chain changed (the codec re-marks a chain it could only
+    /// serialize in part).
+    pub fn mark_dirty(&self) {
+        self.dirty.store(true, Ordering::Relaxed);
+    }
+
+    /// Replaces the whole chain with one restored from a checkpoint and
+    /// leaves the node clean: it now matches what is on disk.
+    pub fn restore_versions(&self, chain: Vec<Version>) {
+        debug_assert!(
+            chain.windows(2).all(|w| w[0].txn_id <= w[1].txn_id),
+            "restored chain out of commit order"
+        );
+        *self.versions.write() = chain;
+        self.dirty.store(false, Ordering::Relaxed);
+    }
+
+    /// Clones the full version chain under the shared lock (tests and
+    /// diagnostics; the snapshot codec reads chains in place through
+    /// [`RecordNode::with_versions`]).
     pub fn versions_snapshot(&self) -> Vec<Version> {
         self.versions.read().clone()
     }

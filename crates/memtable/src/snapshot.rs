@@ -16,16 +16,39 @@
 //! per version: [txn_id u64] [commit_ts u64] [op u8] [row]
 //! ```
 //!
-//! Versions are written in chain order, so decoding re-appends them in
+//! Versions are written in chain order, so decoding restores them in
 //! commit order and every restored chain satisfies the same ordering
 //! invariant as a live one. Integrity (CRC, atomic rename) is the
 //! checkpoint store's job, not the codec's: the store checksums the whole
 //! snapshot blob alongside its manifest.
+//!
+//! ## Delta snapshots
+//!
+//! The same format carries incremental checkpoints. [`ChainFilter`]
+//! selects which chains [`encode_chains`] writes: a delta carries only
+//! the chains marked dirty (appended to or rewritten by GC since the
+//! previous cut), each one *whole*. Applying a delta with
+//! [`apply_snapshot`] therefore replaces those chains outright, and a
+//! base plus its deltas applied in order restores exactly the chains a
+//! full snapshot at the last delta's barrier would. Record nodes are
+//! never removed from a table, so a delta needs no deletion records.
 
 use crate::record::{OpType, Version};
 use crate::table::MemDb;
 use aets_common::{Error, Result, RowKey, Timestamp, TxnId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+/// Which chains [`encode_chains`] serializes, and whether reading them
+/// clears their dirty marks (see [`crate::RecordNode::with_versions`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainFilter {
+    /// Every chain; dirty marks are left alone.
+    All,
+    /// Every chain, clearing each mark: a full checkpoint cut.
+    TakeAll,
+    /// Only the dirty chains, clearing their marks: a delta cut.
+    TakeDirty,
+}
 
 /// Serializes the versions of `db` with `commit_ts <= watermark` into
 /// `buf`. Pass [`Timestamp::MAX`] to snapshot everything; checkpoints
@@ -33,31 +56,50 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// (no version beyond the barrier exists yet) but keeps the on-disk
 /// state independent of any replay that races the serialization.
 pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
+    encode_chains(buf, db, watermark, ChainFilter::All);
+}
+
+/// [`encode_db`] restricted to the chains `filter` selects. Chains are
+/// serialized in place under each node's shared lock — nothing is
+/// cloned — so the caller must hold the engine quiesced (an epoch
+/// barrier) for the result to be a consistent cut. A chain cut short by
+/// `watermark` keeps its dirty mark, so the versions past the watermark
+/// reach the next delta.
+pub fn encode_chains(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp, filter: ChainFilter) {
+    let take = filter != ChainFilter::All;
     buf.put_u32_le(db.num_tables() as u32);
     for table in db.tables() {
-        let entries = table.entries();
         buf.put_u32_le(table.id().raw());
-        // Count keys with at least one covered version first: invisible
-        // nodes (created by phase 1, never committed) are not persisted.
-        let mut kept: Vec<(RowKey, Vec<Version>)> = Vec::with_capacity(entries.len());
-        for (key, node) in entries {
-            let mut chain = node.versions_snapshot();
-            chain.retain(|v| v.commit_ts <= watermark);
-            if !chain.is_empty() {
-                kept.push((key, chain));
-            }
-        }
-        buf.put_u64_le(kept.len() as u64);
-        for (key, chain) in kept {
-            buf.put_u64_le(key.raw());
-            buf.put_u32_le(chain.len() as u32);
-            for v in chain {
-                buf.put_u64_le(v.txn_id.raw());
-                buf.put_u64_le(v.commit_ts.as_micros());
-                buf.put_u8(v.op.tag());
-                aets_wal::encode_row(buf, &v.cols);
-            }
-        }
+        // The key count is patched in once the table is written: invisible
+        // nodes (created by phase 1, never committed) and filtered chains
+        // are not persisted.
+        let count_at = buf.len();
+        buf.put_u64_le(0);
+        let mut kept = 0u64;
+        table.for_each_node(|key, node| {
+            node.with_versions(take, |chain, dirty| {
+                if filter == ChainFilter::TakeDirty && !dirty {
+                    return;
+                }
+                let covered = chain.iter().filter(|v| v.commit_ts <= watermark).count();
+                if take && covered < chain.len() {
+                    node.mark_dirty();
+                }
+                if covered == 0 {
+                    return;
+                }
+                kept += 1;
+                buf.put_u64_le(key.raw());
+                buf.put_u32_le(covered as u32);
+                for v in chain.iter().filter(|v| v.commit_ts <= watermark) {
+                    buf.put_u64_le(v.txn_id.raw());
+                    buf.put_u64_le(v.commit_ts.as_micros());
+                    buf.put_u8(v.op.tag());
+                    aets_wal::encode_row(buf, &v.cols);
+                }
+            });
+        });
+        buf[count_at..count_at + 8].copy_from_slice(&kept.to_le_bytes());
     }
 }
 
@@ -66,8 +108,30 @@ pub fn encode_db(buf: &mut BytesMut, db: &MemDb, watermark: Timestamp) {
 /// commit-order invariant holds by construction.
 pub fn decode_db(buf: &mut Bytes) -> Result<MemDb> {
     need(buf, 4)?;
+    let db = MemDb::new(buf.get_u32_le() as usize);
+    decode_tables(buf, &db)?;
+    Ok(db)
+}
+
+/// Applies a snapshot — full or delta — on top of `db`, consuming `buf`:
+/// every chain it carries replaces that record's chain, and restored
+/// nodes are left clean. Fails if the snapshot's table count differs
+/// from `db`'s. On error `db` may hold part of the snapshot.
+pub fn apply_snapshot(buf: &mut Bytes, db: &MemDb) -> Result<()> {
+    need(buf, 4)?;
     let num_tables = buf.get_u32_le() as usize;
-    let db = MemDb::new(num_tables);
+    if num_tables != db.num_tables() {
+        return Err(Error::Codec(format!(
+            "snapshot has {num_tables} tables, database has {}",
+            db.num_tables()
+        )));
+    }
+    decode_tables(buf, db)
+}
+
+/// Decodes the per-table sections that follow the table count.
+fn decode_tables(buf: &mut Bytes, db: &MemDb) -> Result<()> {
+    let num_tables = db.num_tables();
     for _ in 0..num_tables {
         need(buf, 12)?;
         let table_id = aets_common::TableId::new(buf.get_u32_le());
@@ -79,22 +143,25 @@ pub fn decode_db(buf: &mut Bytes) -> Result<MemDb> {
         for _ in 0..num_keys {
             need(buf, 12)?;
             let key = RowKey::new(buf.get_u64_le());
-            let num_versions = buf.get_u32_le();
-            let node = table.node_or_insert(key);
+            let num_versions = buf.get_u32_le() as usize;
+            // Every version takes at least 19 bytes: a corrupt count must
+            // not drive a huge allocation.
+            let mut chain = Vec::with_capacity(num_versions.min(buf.remaining() / 19));
             for _ in 0..num_versions {
                 need(buf, 17)?;
                 let txn_id = TxnId::new(buf.get_u64_le());
                 let commit_ts = Timestamp::from_micros(buf.get_u64_le());
                 let op = OpType::from_tag(buf.get_u8()).ok_or(Error::CodecBadTag)?;
                 let cols = aets_wal::decode_row(buf)?;
-                node.append_version(Version { txn_id, commit_ts, op, cols });
+                chain.push(Version { txn_id, commit_ts, op, cols });
             }
+            table.node_or_insert(key).restore_versions(chain);
         }
     }
     if buf.has_remaining() {
         return Err(Error::Codec(format!("{} trailing bytes after snapshot", buf.remaining())));
     }
-    Ok(db)
+    Ok(())
 }
 
 fn need(buf: &Bytes, n: usize) -> Result<()> {

@@ -119,14 +119,19 @@ impl Table {
         out
     }
 
-    /// Snapshot of every `(key, node)` pair in key order (used by the
-    /// checkpoint snapshot codec; clones the `Arc`s like
-    /// [`Table::nodes`]).
-    pub fn entries(&self) -> Vec<(RowKey, Arc<RecordNode>)> {
-        let index = self.index.read();
-        let mut out = Vec::with_capacity(index.len());
-        index.scan(|k, n| out.push((*k, n.clone())));
-        out
+    /// Visits every `(key, node)` pair in key order under the index's
+    /// shared lock, without copying the index (used by the checkpoint
+    /// snapshot codec, which runs while the engine is quiesced).
+    pub fn for_each_node(&self, mut f: impl FnMut(RowKey, &RecordNode)) {
+        self.index.read().scan(|k, n| f(*k, n));
+    }
+
+    /// Number of record nodes whose chain changed since the checkpoint
+    /// codec last read it.
+    pub fn dirty_count(&self) -> usize {
+        let mut n = 0;
+        self.for_each_node(|_, node| n += usize::from(node.is_dirty()));
+        n
     }
 
     /// Checks the commit-order invariant on every version chain.

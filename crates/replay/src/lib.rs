@@ -46,7 +46,9 @@ pub mod target;
 pub mod visibility;
 
 pub use alloc::{allocate_threads, UrgencyMode};
-pub use checkpoint::{Checkpoint, CheckpointMeta, CheckpointStore};
+pub use checkpoint::{
+    ChainBytes, Checkpoint, CheckpointMeta, CheckpointStore, ManifestInfo, ParentLink,
+};
 pub use control::{plan_grouping, AdaptiveController, ControllerConfig};
 pub use dispatch::{
     dispatch_epoch, ingest_epoch, DispatchedEpoch, GroupWork, IngestStats, MiniTxn, RetryPolicy,

@@ -3,9 +3,11 @@
 //! [`DurableBackup`] is the crash-consistent composition of the whole
 //! stack: every ingested epoch is appended to the WAL segment store
 //! *before* it is replayed, checkpoints of the Memtable are cut at epoch
-//! barriers at a configurable cadence, and [`DurableBackup::open`] is the
-//! recovery bootstrap — it loads the newest valid checkpoint manifest
-//! (falling back across corrupt ones), seeds the visibility board from
+//! barriers at a configurable cadence — full snapshots and deltas of the
+//! chains changed since the previous cut — and [`DurableBackup::open`] is
+//! the recovery bootstrap — it loads the newest valid restore point, a
+//! base plus its deltas (falling back across corrupt ones), seeds the
+//! visibility board from
 //! the stored replay positions, and re-replays only the WAL *suffix*
 //! from the checkpoint's `next_epoch_seq` through the normal two-stage
 //! path. Recovery cost is therefore bounded by the checkpoint cadence,
@@ -47,8 +49,10 @@ pub struct DurableOptions {
     /// Cut a checkpoint every `checkpoint_every` ingested epochs
     /// (`0` = only on explicit [`DurableBackup::checkpoint_now`]).
     pub checkpoint_every: u64,
-    /// Manifests to keep on disk (older ones are pruned after each
-    /// successful checkpoint; at least one is always kept).
+    /// Restore points to keep on disk, each with the base and deltas it
+    /// needs (older ones are pruned after each successful checkpoint; at
+    /// least one is always kept, and from two on, one that does not
+    /// depend on the newest base whenever one exists).
     pub keep_checkpoints: usize,
     /// WAL segment-store layout and fsync policy.
     pub segment: SegmentConfig,
@@ -135,6 +139,10 @@ pub struct DurableBackup {
     next_seq: u64,
     /// `next_epoch_seq` of the last durable checkpoint (0 = none).
     last_ckpt_seq: u64,
+    /// The restore point the Memtable's clean chains match — the last
+    /// checkpoint written or restored — and so the parent of the next
+    /// delta. `None` forces the next cut to be a full snapshot.
+    tip: Option<u64>,
     /// Manually published replica floor ([`DurableBackup::set_query_floor`]);
     /// clamps GC together with the pinned read sessions' floor.
     query_floor: Timestamp,
@@ -300,6 +308,7 @@ impl DurableBackup {
             report,
             next_seq,
             last_ckpt_seq: restored_seq.unwrap_or(0),
+            tip: restored_seq,
             query_floor: Timestamp::MAX,
             floor: Arc::new(QueryFloor::new()),
             telemetry,
@@ -418,10 +427,18 @@ impl DurableBackup {
     }
 
     /// Cuts a checkpoint at the current epoch barrier, prunes old
-    /// manifests, and retires WAL segments behind the new watermark.
-    /// Returns `false` (and counts the skip) while any group is
+    /// manifests, and retires WAL segments behind the oldest kept restore
+    /// point. Returns `false` (and counts the skip) while any group is
     /// quarantined: truncating the WAL past a frozen group's watermark
     /// would lose the suffix it has not replayed.
+    ///
+    /// The cut is a *delta* — only the chains appended to or rewritten by
+    /// GC since the previous checkpoint — while the deltas already
+    /// written on the current base total less than the base; otherwise it
+    /// is a full snapshot that starts a new chain. A restore therefore
+    /// reads the base, older deltas totalling less than the base, and the
+    /// newest delta — under twice the base plus one delta — while a cut
+    /// writes O(changes), not O(database).
     pub fn checkpoint_now(&mut self) -> Result<bool> {
         if !self.engine.quarantined_groups().is_empty() {
             self.metrics.checkpoints_skipped_degraded += 1;
@@ -454,17 +471,34 @@ impl DurableBackup {
                 .collect(),
             quarantined: vec![],
         };
-        self.ckpt.write(&meta, &self.db, Timestamp::MAX)?;
+        // Cutting clears the chains' dirty marks, so a failed write must
+        // leave no parent behind: the next cut is then a full snapshot.
+        let parent = match self.tip.take() {
+            Some(tip) if tip < self.next_seq => {
+                self.ckpt.chain_bytes(tip)?.filter(|c| c.deltas < c.base).map(|_| tip)
+            }
+            _ => None,
+        };
+        match parent {
+            Some(tip) => self.ckpt.write_delta(&meta, tip, &self.db)?,
+            None => self.ckpt.write(&meta, &self.db, Timestamp::MAX)?,
+        };
+        self.tip = Some(self.next_seq);
         self.metrics.checkpoints_written += 1;
         self.telemetry.registry().counter(names::CHECKPOINTS_WRITTEN).inc();
         self.telemetry.event(EventKind::CheckpointWritten { next_epoch_seq: self.next_seq });
         self.last_ckpt_seq = self.next_seq;
         self.ckpt.retain(self.opts.keep_checkpoints)?;
-        // Retire WAL only behind the OLDEST retained manifest: if the
-        // newest one is later found corrupt, recovery falls back to an
-        // older checkpoint and still needs the log from that point on.
-        let oldest = self.ckpt.list()?.first().map_or(self.next_seq, |(s, _)| *s);
-        let retired = self.wal.truncate_before(oldest)? as u64;
+        // Retire WAL only behind the OLDEST retained manifest — the base
+        // of the oldest kept chain: if the newest restore point is later
+        // found corrupt, recovery falls back to an older one and still
+        // needs the log from that point on. Until a restore point exists
+        // that does not share the newest base, that fallback is a cold
+        // start, and the whole log is kept.
+        let retired = match self.ckpt.wal_floor(self.opts.keep_checkpoints)? {
+            Some(floor) => self.wal.truncate_before(floor)? as u64,
+            None => 0,
+        };
         self.metrics.wal_segments_retired += retired;
         if retired > 0 {
             self.telemetry.registry().counter(names::WAL_SEGMENTS_RETIRED).add(retired);
@@ -955,7 +989,9 @@ mod tests {
 
     #[test]
     fn wal_gap_after_checkpoint_is_fatal() {
-        let (epochs, num_tables, grouping) = tpcc_stream(600);
+        // Long enough to cut a second full base: only then may the WAL
+        // be retired past epoch 0.
+        let (epochs, num_tables, grouping) = tpcc_stream(1_200);
         let wal_dir = scratch("gap-wal");
         let ckpt_dir = scratch("gap-ckpt");
         let opts = DurableOptions {
@@ -976,6 +1012,7 @@ mod tests {
             for e in &epochs {
                 node.ingest(e).unwrap();
             }
+            assert!(node.wal_first_retained_seq() > Some(0), "the WAL must have been retired");
         }
         // Delete every checkpoint: the WAL has been truncated past epoch
         // 0, so a cold-start recovery would have a gap and must refuse.

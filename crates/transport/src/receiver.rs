@@ -37,8 +37,10 @@ pub struct ReceiverConfig {
     /// Socket read timeout: the granularity at which a blocked read
     /// notices teardown, and the unit of idle detection.
     pub io_timeout: Duration,
-    /// A session that stays silent this long is presumed half-open and
-    /// torn down (the shipper will reconnect).
+    /// A session that stays silent this long, with nothing buffered for
+    /// the consumer, is presumed half-open and torn down (the shipper will
+    /// reconnect). While received epochs await the consumer the shipper
+    /// may be waiting on their acks, so that silence does not count.
     pub conn_idle_timeout: Duration,
     /// How long a [`NetEpochSource::fetch`] waits for its epoch before
     /// reporting a stall (`None`) to the ingest retry loop.
@@ -236,7 +238,14 @@ fn handle_session(mut conn: TcpStream, shared: &Arc<RecvShared>) {
     while alive.load(Ordering::Relaxed) && !shared.closed.load(Ordering::Relaxed) {
         match read_frame(&mut conn) {
             Ok(ReadEvent::Idle) => {
-                if last_activity.elapsed() > cfg.conn_idle_timeout {
+                // Silence counts only while we owe the shipper nothing.
+                // With received epochs still unconsumed, a shipper whose
+                // window is full is waiting on acks that advance at the
+                // consumer's pace, however slow; once they are consumed
+                // and acked, a silent peer is presumed dead.
+                if awaiting_consumer(shared) {
+                    last_activity = Instant::now();
+                } else if last_activity.elapsed() > cfg.conn_idle_timeout {
                     break; // half-open session: reclaim the endpoint
                 }
             }
@@ -301,6 +310,11 @@ fn handle_session(mut conn: TcpStream, shared: &Arc<RecvShared>) {
     shared.ack_cv.notify_all();
     let _ = conn.shutdown(std::net::Shutdown::Both);
     let _ = ack_thread.join();
+}
+
+/// Whether verified epochs still wait in the buffer for the consumer.
+fn awaiting_consumer(shared: &RecvShared) -> bool {
+    shared.state.lock().is_ok_and(|st| !st.queue.is_empty())
 }
 
 /// Verifies, dedups, and enqueues one delivered epoch. Returns `false`

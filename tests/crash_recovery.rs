@@ -9,15 +9,23 @@
 //! the WAL suffix past the newest durable checkpoint (never the full
 //! history).
 //!
+//! Checkpoints are delta chains: a full base plus deltas that carry only
+//! the version chains changed since their parent. The delta-chain tests
+//! prove that a chain restores exactly what a full snapshot would, that
+//! a crash inside a delta cut never exposes a torn chain, that any one
+//! corrupt manifest — delta or base — still recovers, and the
+//! full-vs-delta rule.
+//!
 //! The `crash_mid_segment_write` / `crash_mid_checkpoint` /
-//! `stale_manifest_falls_back` tests double as the CI crash-matrix
-//! entries (see `.github/workflows/ci.yml`).
+//! `stale_manifest_falls_back` / `crash_mid_delta_checkpoint` /
+//! `any_single_corrupt_manifest_recovers` tests double as the CI
+//! crash-matrix entries (see `.github/workflows/ci.yml`).
 
 use aets_suite::common::Timestamp;
-use aets_suite::memtable::MemDb;
+use aets_suite::memtable::{decode_db, encode_db, MemDb};
 use aets_suite::replay::{
-    AetsConfig, AetsEngine, DurableBackup, DurableOptions, ReplayEngine, SerialEngine,
-    TableGrouping,
+    AetsConfig, AetsEngine, CheckpointStore, DurableBackup, DurableOptions, ManifestInfo,
+    ReplayEngine, SerialEngine, TableGrouping,
 };
 use aets_suite::wal::{
     batch_into_epochs, encode_epoch, CrashClock, EncodedEpoch, FsyncPolicy, SegmentConfig,
@@ -623,6 +631,294 @@ proptest! {
         if let Some(f) = node.wal_first_retained_seq() {
             prop_assert!(f <= eidx as u64, "poisoned epoch {eidx} fell off the WAL ({f})");
         }
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Delta checkpoint chains
+// ---------------------------------------------------------------------
+
+/// Every non-empty version chain of `db` as (table, key, chain), in
+/// table and key order.
+fn chains(db: &MemDb) -> Vec<(u32, u64, String)> {
+    let mut out = Vec::new();
+    for t in db.tables() {
+        t.for_each_node(|k, n| {
+            let chain = n.versions_snapshot();
+            if !chain.is_empty() {
+                out.push((t.id().raw(), k.raw(), format!("{chain:?}")));
+            }
+        });
+    }
+    out
+}
+
+/// What a full snapshot of `db` restores.
+fn full_snapshot_restore(db: &MemDb) -> MemDb {
+    let mut buf = bytes::BytesMut::new();
+    encode_db(&mut buf, db, Timestamp::MAX);
+    decode_db(&mut buf.freeze()).unwrap()
+}
+
+fn open_node(fx: &Fixture, opts: &DurableOptions, wal: &Path, ckpt: &Path) -> DurableBackup {
+    DurableBackup::open(wal, ckpt, fresh_engine(&fx.grouping), fx.num_tables, opts.clone(), None)
+        .unwrap()
+}
+
+/// Whether the newest manifest in `ckpt_dir` is a delta.
+fn newest_is_delta(ckpt_dir: &Path) -> bool {
+    let store = CheckpointStore::open(ckpt_dir, None).unwrap();
+    store.catalog().unwrap().last().is_some_and(|m| m.parent.is_some())
+}
+
+/// Ingests `fx` with a read floor pinned per epoch from `picks` (an
+/// earlier epoch's high-water mark, or no floor), so every pre-cut GC
+/// pass consolidates a different prefix. After every cut, the newest
+/// restore point — base plus deltas — must hold exactly the chains a
+/// full snapshot of the live Memtable at the same barrier restores.
+fn delta_chains_match_full_snapshots(fx: &Fixture, cadence: u64, picks: &[u8]) {
+    let wal_dir = scratch("chain-wal");
+    let ckpt_dir = scratch("chain-ckpt");
+    let opts = DurableOptions { checkpoint_every: cadence, ..durable_opts() };
+    let mut node = open_node(fx, &opts, &wal_dir, &ckpt_dir);
+    let mut deltas = 0;
+    for (i, e) in fx.epochs.iter().enumerate() {
+        let pick = picks[i % picks.len()] as usize;
+        node.set_query_floor(if pick.is_multiple_of(4) {
+            Timestamp::MAX
+        } else {
+            fx.epochs[i * pick / 256].max_commit_ts
+        });
+        let before = node.last_checkpoint_seq();
+        node.ingest(e).unwrap();
+        if node.last_checkpoint_seq() == before {
+            continue;
+        }
+        deltas += usize::from(newest_is_delta(&ckpt_dir));
+        let (ckpt, fallbacks) =
+            CheckpointStore::open(&ckpt_dir, None).unwrap().load_latest().unwrap();
+        let ckpt = ckpt.expect("the cut must be loadable");
+        assert_eq!(fallbacks, 0);
+        assert_eq!(ckpt.meta.next_epoch_seq, node.next_seq());
+        assert!(
+            chains(&ckpt.db) == chains(&full_snapshot_restore(node.db())),
+            "barrier {}: base + deltas restored other chains than a full snapshot",
+            node.next_seq()
+        );
+    }
+    assert!(deltas > 0, "the run never cut a delta");
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn tpcc_delta_chains_restore_what_a_full_snapshot_restores(
+        cadence in 2u64..5,
+        picks in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        delta_chains_match_full_snapshots(tpcc_fixture(), cadence, &picks);
+    }
+
+    #[test]
+    fn bustracker_delta_chains_restore_what_a_full_snapshot_restores(
+        cadence in 2u64..5,
+        picks in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        delta_chains_match_full_snapshots(bustracker_fixture(), cadence, &picks);
+    }
+}
+
+/// Crash-matrix seed 5: the crash instant lands at every filesystem
+/// operation of the ingest that cuts the first *delta* — its WAL append,
+/// the delta's tmp write / fsync / rename / dir fsync, retention and WAL
+/// retirement. Right after the crash the previous restore point or the
+/// new one loads with no fallback — never a torn chain — and the
+/// restarted node converges to the oracle.
+#[test]
+fn crash_mid_delta_checkpoint() {
+    let fx = tpcc_fixture();
+    let opts = durable_opts();
+    let (before, after, prev, new) = {
+        let wal_dir = scratch("delta-probe-wal");
+        let ckpt_dir = scratch("delta-probe-ckpt");
+        let clock = CrashClock::unlimited();
+        let mut node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&fx.grouping),
+            fx.num_tables,
+            opts.clone(),
+            Some(clock.clone()),
+        )
+        .unwrap();
+        let mut window = None;
+        for e in &fx.epochs {
+            let (pre, prev) = (clock.used(), node.last_checkpoint_seq());
+            node.ingest(e).unwrap();
+            if node.last_checkpoint_seq() != prev && newest_is_delta(&ckpt_dir) {
+                window = Some((pre, clock.used(), prev, node.last_checkpoint_seq()));
+                break;
+            }
+        }
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+        window.expect("the cadence must cut a delta")
+    };
+    assert!(prev > 0, "a delta always has a parent");
+    for budget in before + 1..=after {
+        let wal_dir = scratch("mid-delta-wal");
+        let ckpt_dir = scratch("mid-delta-ckpt");
+        {
+            let mut node = DurableBackup::open(
+                &wal_dir,
+                &ckpt_dir,
+                fresh_engine(&fx.grouping),
+                fx.num_tables,
+                opts.clone(),
+                Some(CrashClock::with_budget(budget)),
+            )
+            .unwrap();
+            let crashed = fx.epochs.iter().any(|e| match node.ingest(e) {
+                Ok(()) => false,
+                Err(err) if err.is_crash() => true,
+                Err(err) => panic!("budget {budget}: non-crash error {err}"),
+            });
+            assert!(crashed, "budget {budget} must crash inside the delta cut");
+        }
+        let (ckpt, fallbacks) =
+            CheckpointStore::open(&ckpt_dir, None).unwrap().load_latest().unwrap();
+        assert_eq!(fallbacks, 0, "budget {budget}: a torn manifest became visible");
+        let restored = ckpt.expect("the previous restore point must survive").meta.next_epoch_seq;
+        assert!(
+            restored == prev || restored == new,
+            "budget {budget}: restored {restored}, expected {prev} or {new}"
+        );
+        let out = supervised_run(fx, &opts, &wal_dir, &ckpt_dir, &[]);
+        assert_eq!(out.digest, fx.oracle_digest, "budget {budget}: diverged from the oracle");
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// Ingests the first `epochs` epochs of `fx`, then damages each kept
+/// manifest in turn — on a copy of the directories — and requires every
+/// restart to converge to the oracle of that prefix. Returns the kept
+/// manifests.
+fn corrupt_each_manifest_in_turn(fx: &Fixture, epochs: usize) -> Vec<ManifestInfo> {
+    let opts = durable_opts();
+    let wal_dir = scratch("corrupt-one-wal");
+    let ckpt_dir = scratch("corrupt-one-ckpt");
+    {
+        let mut node = open_node(fx, &opts, &wal_dir, &ckpt_dir);
+        for e in &fx.epochs[..epochs] {
+            node.ingest(e).unwrap();
+        }
+    }
+    let oracle = MemDb::new(fx.num_tables);
+    SerialEngine.replay_all(&fx.epochs[..epochs], &oracle).unwrap();
+    let want = oracle.digest_at(Timestamp::MAX);
+    let manifests = CheckpointStore::open(&ckpt_dir, None).unwrap().catalog().unwrap();
+    for victim in &manifests {
+        let name = victim.path.file_name().unwrap();
+        let wal = scratch("corrupt-one-wal-copy");
+        let ckpt = scratch("corrupt-one-ckpt-copy");
+        copy_dir(&wal_dir, &wal);
+        copy_dir(&ckpt_dir, &ckpt);
+        let mut raw = std::fs::read(ckpt.join(name)).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x20;
+        std::fs::write(ckpt.join(name), &raw).unwrap();
+
+        let node = open_node(fx, &opts, &wal, &ckpt);
+        let kind = if victim.parent.is_some() { "delta" } else { "base" };
+        assert_eq!(
+            node.db().digest_at(Timestamp::MAX),
+            want,
+            "{epochs} epochs, corrupt {kind} {}: recovery diverged from the oracle",
+            victim.seq
+        );
+        assert_eq!(node.next_seq(), epochs as u64);
+        let _ = std::fs::remove_dir_all(&wal);
+        let _ = std::fs::remove_dir_all(&ckpt);
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    manifests
+}
+
+/// Crash-matrix seed 6: storage damages one manifest after the fact —
+/// in turn every manifest retention kept, deltas and bases alike.
+/// Recovery falls back past every restore point that needs the damaged
+/// file, to one that does not, and still converges to the oracle. With
+/// two chains on disk that is the older chain (retention keeps a
+/// restore point off the newest base); with one, a corrupt base falls
+/// back to a cold start, so the whole WAL must still be there.
+#[test]
+fn any_single_corrupt_manifest_recovers() {
+    let fx = tpcc_fixture();
+    let bases = |ms: &[ManifestInfo]| ms.iter().filter(|m| m.parent.is_none()).count();
+    let deltas = |ms: &[ManifestInfo]| ms.len() - bases(ms);
+    // Cadence 3: a base at 3 and its first delta at 6.
+    let one = corrupt_each_manifest_in_turn(fx, 7);
+    assert_eq!((bases(&one), deltas(&one)), (1, 1), "expected one chain: {one:?}");
+    let two = corrupt_each_manifest_in_turn(fx, fx.epochs.len());
+    assert!(deltas(&two) > 0, "retention kept no delta: {two:?}");
+    assert!(bases(&two) >= 2, "retention kept a single base: {two:?}");
+}
+
+/// The full-vs-delta rule: the next cut is a delta on the previous
+/// restore point while the deltas already written on its base total
+/// less than the base, and a full snapshot otherwise.
+#[test]
+fn cut_is_a_delta_until_the_deltas_outweigh_the_base() {
+    for fx in [tpcc_fixture(), bustracker_fixture()] {
+        let opts = DurableOptions { checkpoint_every: 2, ..durable_opts() };
+        let wal_dir = scratch("rule-wal");
+        let ckpt_dir = scratch("rule-ckpt");
+        let mut node = open_node(fx, &opts, &wal_dir, &ckpt_dir);
+        let (mut deltas, mut rebased) = (0, 0);
+        for e in &fx.epochs {
+            let prev = node.last_checkpoint_seq();
+            let store = CheckpointStore::open(&ckpt_dir, None).unwrap();
+            let chain = store.chain_bytes(prev).unwrap();
+            node.ingest(e).unwrap();
+            if node.last_checkpoint_seq() == prev {
+                continue;
+            }
+            let newest = store.catalog().unwrap().pop().unwrap();
+            assert_eq!(newest.seq, node.last_checkpoint_seq());
+            match chain {
+                Some(c) if c.deltas < c.base => {
+                    assert_eq!(
+                        newest.parent.map(|p| p.seq),
+                        Some(prev),
+                        "deltas {} < base {}: the cut must be a delta on {prev}",
+                        c.deltas,
+                        c.base
+                    );
+                    deltas += 1;
+                }
+                _ => {
+                    assert!(newest.parent.is_none(), "{chain:?}: the cut must be full");
+                    rebased += usize::from(chain.is_some());
+                }
+            }
+        }
+        assert!(deltas > 0 && rebased > 0, "both branches of the rule must run");
+        assert_eq!(node.db().digest_at(Timestamp::MAX), fx.oracle_digest);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

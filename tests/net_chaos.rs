@@ -33,7 +33,7 @@ use aets_suite::transport::{
     ship_epochs, EngineSink, FaultProxy, NetFaultPlan, ReceiverConfig, ReplayMode, ShipReceiver,
     ShipReport, ShipperConfig, TraceRecorder, TraceReplayer, TraceSink,
 };
-use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch};
+use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch, EpochSource};
 use aets_suite::workloads::tpcc::{self, TpccConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -280,6 +280,44 @@ fn clean_link_ships_without_reconnects() {
     assert_eq!(report.resyncs, 0);
     assert_eq!(report.frames_sent, total, "no re-ships on a healthy link");
     assert_eq!(node.db().digest_at(Timestamp::MAX), fx.oracle.digest_at(Timestamp::MAX));
+    receiver.shutdown();
+}
+
+#[test]
+fn paced_consumer_slower_than_the_idle_timeout_keeps_its_session() {
+    // A shipper whose window is full waits silently for acks, and acks
+    // only advance as the consumer fetches. A consumer pacing itself
+    // slower than the receiver's idle timeout must not make that silence
+    // look like a dead peer: one session, nothing re-shipped.
+    let epochs: Vec<EncodedEpoch> = fixture().epochs[..10].to_vec();
+    let idle = Duration::from_millis(100);
+    let mut receiver = ShipReceiver::bind(
+        "127.0.0.1:0",
+        ReceiverConfig { conn_idle_timeout: idle, ..Default::default() },
+        Arc::new(Telemetry::new()),
+    )
+    .unwrap();
+    let addr = receiver.addr();
+    let shipped = epochs.clone();
+    let shipper = std::thread::spawn(move || {
+        let cfg = ShipperConfig { window: 2, ..Default::default() };
+        ship_epochs(addr, &shipped, &cfg, &Telemetry::new())
+    });
+    let mut source = receiver.source();
+    let deadline = Instant::now() + DRAIN_BUDGET;
+    for e in &epochs {
+        std::thread::sleep(idle * 3 / 2);
+        let got = loop {
+            assert!(Instant::now() < deadline, "paced consumer wedged");
+            if let Some(got) = source.fetch(e.id.raw(), 0) {
+                break got;
+            }
+        };
+        assert_eq!(got.id, e.id);
+    }
+    let report = shipper.join().unwrap().unwrap();
+    assert_eq!(report.reconnects, 0, "a waiting shipper was torn down as idle");
+    assert_eq!(report.frames_sent, epochs.len() as u64, "frames were re-shipped");
     receiver.shutdown();
 }
 
