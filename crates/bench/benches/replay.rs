@@ -56,29 +56,23 @@ fn bench_replay(c: &mut Criterion) {
         })
     });
 
-    // Pipelined vs inline dispatch over a multi-epoch stream. Same run,
-    // same stream: the delta isolates what the dispatcher thread hides —
-    // with `n` epochs, up to `(n-1)/n` of total dispatch time overlaps
-    // replay.
+    // The pipelined datapath over a multi-epoch stream: with `n` epochs,
+    // up to `(n-1)/n` of total dispatch time overlaps replay.
     let small_epochs: Vec<_> = aets_wal::batch_into_epochs(w.txns.clone(), 256)
         .unwrap()
         .iter()
         .map(encode_epoch)
         .collect();
-    for (label, depth) in
-        [("aets_multi_epoch_2t_pipelined", 2usize), ("aets_multi_epoch_2t_inline_dispatch", 0)]
-    {
-        g.bench_function(label, |b| {
-            let engine = AetsEngine::builder(grouping.clone())
-                .config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() })
-                .build()
-                .unwrap();
-            b.iter(|| {
-                let db = MemDb::new(w.num_tables());
-                engine.replay_all(std::hint::black_box(&small_epochs), &db).unwrap()
-            })
-        });
-    }
+    g.bench_function("aets_multi_epoch_2t_pipelined", |b| {
+        let engine = AetsEngine::builder(grouping.clone())
+            .config(AetsConfig { threads: 2, ..Default::default() })
+            .build()
+            .unwrap();
+        b.iter(|| {
+            let db = MemDb::new(w.num_tables());
+            engine.replay_all(std::hint::black_box(&small_epochs), &db).unwrap()
+        })
+    });
     g.finish();
 }
 

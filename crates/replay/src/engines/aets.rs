@@ -3,11 +3,10 @@
 //! Per epoch (Section III-D):
 //!
 //! 1. the dispatcher routes entries into per-group mini-transactions
-//!    (metadata-only parse). With `pipeline_depth > 0` this runs on its
-//!    own thread, feeding dispatched epochs to the replay loop through a
-//!    bounded channel so the metadata scan of epoch `e+1` overlaps the
-//!    stage-1/stage-2 replay of epoch `e` (see DESIGN.md, "Replay
-//!    datapath");
+//!    (metadata-only parse). This runs on its own thread, feeding
+//!    dispatched epochs to the replay loop through a bounded channel so
+//!    the metadata scan of epoch `e+1` overlaps the stage-1/stage-2
+//!    replay of epoch `e` (see DESIGN.md, "Replay datapath");
 //! 2. threads are allocated to groups by `λ·n` weights
 //!    (Section IV-B), optionally refreshed from a per-epoch rate provider
 //!    (the DTGM predictor in the full system);
@@ -56,6 +55,12 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// How many dispatched epochs may sit between the dispatcher thread and
+/// the replay loop. The epoch-barrier invariant does not depend on it:
+/// the replay loop consumes epochs strictly in order and only ever
+/// commits the epoch at the channel head.
+const PIPELINE_DEPTH: usize = 2;
+
 /// Per-epoch group access rates, e.g. from the DTGM predictor.
 pub type RateFn = Arc<dyn Fn(usize) -> Vec<f64> + Send + Sync>;
 
@@ -75,15 +80,6 @@ pub struct AetsConfig {
     /// Optional per-epoch group-rate provider (predicted access rates);
     /// when absent, the grouping's static rates are used.
     pub rate_fn: Option<RateFn>,
-    /// Depth of the dispatch pipeline: how many dispatched epochs may sit
-    /// between the dispatcher thread and the replay loop. `0` disables
-    /// pipelining (epochs are dispatched inline, the pre-pipeline serial
-    /// datapath); `n > 0` runs the dispatcher on its own thread behind a
-    /// bounded channel of capacity `n`, overlapping the metadata scan of
-    /// epoch `e+1` with the replay of epoch `e`. The epoch-barrier
-    /// invariant is unaffected: the replay loop consumes epochs strictly
-    /// in order and only ever commits the epoch at the channel head.
-    pub pipeline_depth: usize,
     /// Bounded-retry policy of the ingest resync loop: how often a failed
     /// epoch delivery (torn tail, bit flip, sequence gap, stall) is
     /// re-requested, and with what backoff, before the error is fatal.
@@ -98,7 +94,6 @@ impl std::fmt::Debug for AetsConfig {
             .field("two_stage", &self.two_stage)
             .field("adaptive", &self.adaptive)
             .field("rate_fn", &self.rate_fn.as_ref().map(|_| "<fn>"))
-            .field("pipeline_depth", &self.pipeline_depth)
             .field("retry", &self.retry)
             .finish()
     }
@@ -112,7 +107,6 @@ impl Default for AetsConfig {
             two_stage: true,
             adaptive: true,
             rate_fn: None,
-            pipeline_depth: 2,
             retry: RetryPolicy::default(),
         }
     }
@@ -846,157 +840,106 @@ impl AetsEngine {
         let first_seq = source.first_seq();
         let n = source.num_epochs();
 
-        if self.cfg.pipeline_depth == 0 {
-            // Serial datapath: ingest and dispatch each epoch inline before
-            // replaying it. Kept as the oracle the pipelined path is tested
-            // against.
-            for eidx in 0..n {
-                let seq = first_seq + eidx as u64;
-                // Epoch boundary: drain pending reconfigurations before
-                // this epoch is dispatched, so dispatch and replay see
-                // the same grouping.
-                let plan = self.apply_pending(seq);
-                let epoch = ingest_epoch(source, seq, &self.cfg.retry, &mut ingest)?;
-                let t_dispatch = Instant::now();
-                // The dispatch span roots the epoch's engine-side trace
-                // tree: every translate/commit/flip span below parents to
-                // it, so one epoch id pulls out the whole causal chain.
-                let dspan = self.telemetry.spans().begin(seq, stages::DISPATCH, None, None);
-                let work = dispatch_epoch(&epoch, &plan.grouping)?;
-                let parent = dspan.map(|s| {
-                    let id = s.id();
-                    s.finish(self.telemetry.spans());
-                    id
-                });
-                let dispatch_time = t_dispatch.elapsed();
-                m.dispatch_busy += dispatch_time;
-                self.stats.dispatch_us.record_micros(dispatch_time.as_micros() as u64);
-                self.telemetry.event(EventKind::EpochDispatched { seq });
-                self.replay_epoch(
-                    eidx,
-                    seq,
-                    parent,
-                    &plan,
-                    &work,
-                    &pools,
-                    db,
-                    board,
-                    &replay_busy,
-                    &commit_busy,
-                    &mut m,
-                )?;
-                self.telemetry.event(EventKind::EpochCommitted {
-                    seq,
-                    max_commit_ts_us: work.max_commit_ts.as_micros(),
-                });
-                self.telemetry.spans().set_epoch_hint(seq);
-            }
-        } else {
-            // Pipelined datapath: a dispatcher thread ingests and scans
-            // epochs ahead of the replay loop, bounded by `pipeline_depth`
-            // in-flight dispatched epochs. The channel is FIFO and the loop
-            // below finishes epoch e (both stages + global publish) before
-            // receiving e+1's work, so no entry of epoch e+1 can commit
-            // before epoch e is fully replayed — the dispatcher overlap
-            // never weakens the epoch barrier.
-            let retry = self.cfg.retry.clone();
-            let mut result: Result<()> = Ok(());
-            std::thread::scope(|scope| {
-                let (tx, rx) = crossbeam::channel::bounded(self.cfg.pipeline_depth);
-                let engine = self;
-                let ring = self.telemetry.spans();
-                scope.spawn(move || {
-                    for eidx in 0..n {
-                        let seq = first_seq + eidx as u64;
-                        // Epoch boundary on the dispatching side: the plan
-                        // crosses the channel with the work, so epoch e+1
-                        // can be dispatched under a newer grouping while
-                        // epoch e still replays under the old one.
-                        let plan = engine.apply_pending(seq);
-                        let mut stats = IngestStats::default();
-                        let t_dispatch = Instant::now();
-                        // The dispatch span is recorded on the dispatcher
-                        // thread and its id crosses the channel with the
-                        // work, so downstream replay spans parent to it
-                        // exactly as on the serial path.
-                        let mut parent: Option<SpanId> = None;
-                        // Contained so a dispatcher panic surfaces to the
-                        // replay loop as an error instead of escaping
-                        // through the scope join.
-                        let grouping = plan.grouping.clone();
-                        let work = catch_unwind(AssertUnwindSafe(|| {
-                            ingest_epoch(&mut *source, seq, &retry, &mut stats).and_then(|epoch| {
-                                let dspan = ring.begin(seq, stages::DISPATCH, None, None);
-                                let out = dispatch_epoch(&epoch, &grouping);
-                                if out.is_ok() {
-                                    parent = dspan.map(|s| {
-                                        let id = s.id();
-                                        s.finish(ring);
-                                        id
-                                    });
-                                }
-                                out
-                            })
-                        }))
-                        .unwrap_or_else(|p| Err(panic_error("dispatcher", p)));
-                        let stop = work.is_err();
-                        // A send error means the replay loop bailed out and
-                        // dropped the receiver; a dispatch error is
-                        // forwarded first, then the dispatcher stops.
-                        if tx.send((work, stats, t_dispatch.elapsed(), parent, plan)).is_err()
-                            || stop
-                        {
-                            break;
-                        }
-                    }
-                });
-                for (eidx, (work, stats, dispatch_time, parent, plan)) in rx.iter().enumerate() {
-                    // Dispatcher busy time is now overlapped with replay;
-                    // it still counts as busy time in the Table II
-                    // breakdown, which measures work, not the critical
-                    // path.
-                    ingest.merge(&stats);
-                    m.dispatch_busy += dispatch_time;
-                    self.stats.dispatch_us.record_micros(dispatch_time.as_micros() as u64);
+        // A dispatcher thread ingests and scans epochs ahead of the replay
+        // loop, bounded by `PIPELINE_DEPTH` in-flight dispatched epochs.
+        // The channel is FIFO and the loop below finishes epoch e (both
+        // stages + global publish) before receiving e+1's work, so no
+        // entry of epoch e+1 can commit before epoch e is fully replayed —
+        // the dispatcher overlap never weakens the epoch barrier.
+        let retry = self.cfg.retry.clone();
+        let mut result: Result<()> = Ok(());
+        std::thread::scope(|scope| {
+            let (tx, rx) = crossbeam::channel::bounded(PIPELINE_DEPTH);
+            let engine = self;
+            let ring = self.telemetry.spans();
+            scope.spawn(move || {
+                for eidx in 0..n {
                     let seq = first_seq + eidx as u64;
-                    if work.is_ok() {
-                        self.telemetry.event(EventKind::EpochDispatched { seq });
-                    }
-                    let step = work.and_then(|work| {
-                        self.replay_epoch(
-                            eidx,
-                            seq,
-                            parent,
-                            &plan,
-                            &work,
-                            &pools,
-                            db,
-                            board,
-                            &replay_busy,
-                            &commit_busy,
-                            &mut m,
-                        )
-                        .map(|()| work.max_commit_ts)
-                    });
-                    match step {
-                        Ok(max_commit_ts) => {
-                            self.telemetry.event(EventKind::EpochCommitted {
-                                seq,
-                                max_commit_ts_us: max_commit_ts.as_micros(),
-                            });
-                            self.telemetry.spans().set_epoch_hint(seq);
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
+                    // Epoch boundary on the dispatching side: the plan
+                    // crosses the channel with the work, so epoch e+1 can
+                    // be dispatched under a newer grouping while epoch e
+                    // still replays under the old one.
+                    let plan = engine.apply_pending(seq);
+                    let mut stats = IngestStats::default();
+                    let t_dispatch = Instant::now();
+                    // The dispatch span roots the epoch's engine-side
+                    // trace tree: it is recorded here and its id crosses
+                    // the channel with the work, so every translate /
+                    // commit / flip span downstream parents to it.
+                    let mut parent: Option<SpanId> = None;
+                    // Contained so a dispatcher panic surfaces to the
+                    // replay loop as an error instead of escaping through
+                    // the scope join.
+                    let grouping = plan.grouping.clone();
+                    let work = catch_unwind(AssertUnwindSafe(|| {
+                        ingest_epoch(&mut *source, seq, &retry, &mut stats).and_then(|epoch| {
+                            let dspan = ring.begin(seq, stages::DISPATCH, None, None);
+                            let out = dispatch_epoch(&epoch, &grouping);
+                            if out.is_ok() {
+                                parent = dspan.map(|s| {
+                                    let id = s.id();
+                                    s.finish(ring);
+                                    id
+                                });
+                            }
+                            out
+                        })
+                    }))
+                    .unwrap_or_else(|p| Err(panic_error("dispatcher", p)));
+                    let stop = work.is_err();
+                    // A send error means the replay loop bailed out and
+                    // dropped the receiver; a dispatch error is forwarded
+                    // first, then the dispatcher stops.
+                    if tx.send((work, stats, t_dispatch.elapsed(), parent, plan)).is_err() || stop {
+                        break;
                     }
                 }
-                // Dropping the receiver (scope end) unblocks a dispatcher
-                // stuck in `send` after an early exit above.
             });
-            result?;
-        }
+            for (eidx, (work, stats, dispatch_time, parent, plan)) in rx.iter().enumerate() {
+                // Dispatcher busy time is overlapped with replay; it still
+                // counts as busy time in the Table II breakdown, which
+                // measures work, not the critical path.
+                ingest.merge(&stats);
+                m.dispatch_busy += dispatch_time;
+                self.stats.dispatch_us.record_micros(dispatch_time.as_micros() as u64);
+                let seq = first_seq + eidx as u64;
+                if work.is_ok() {
+                    self.telemetry.event(EventKind::EpochDispatched { seq });
+                }
+                let step = work.and_then(|work| {
+                    self.replay_epoch(
+                        eidx,
+                        seq,
+                        parent,
+                        &plan,
+                        &work,
+                        &pools,
+                        db,
+                        board,
+                        &replay_busy,
+                        &commit_busy,
+                        &mut m,
+                    )
+                    .map(|()| work.max_commit_ts)
+                });
+                match step {
+                    Ok(max_commit_ts) => {
+                        self.telemetry.event(EventKind::EpochCommitted {
+                            seq,
+                            max_commit_ts_us: max_commit_ts.as_micros(),
+                        });
+                        self.telemetry.spans().set_epoch_hint(seq);
+                    }
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
+            }
+            // Dropping the receiver (scope end) unblocks a dispatcher stuck
+            // in `send` after an early exit above.
+        });
+        result?;
 
         m.ingest_retries = ingest.retries;
         m.checksum_failures = ingest.checksum_failures;
@@ -1368,27 +1311,50 @@ mod tests {
             .is_err());
     }
 
+    /// Replays `epochs` through `eng` in consecutive `replay` calls of
+    /// `per_call` epochs each (the realtime runner's shape at 1, a batch
+    /// run's at `epochs.len()`), folding the per-call metrics.
+    fn replay_in_calls(
+        eng: &AetsEngine,
+        epochs: &[EncodedEpoch],
+        per_call: usize,
+        db: &MemDb,
+        board: &VisibilityBoard,
+    ) -> ReplayMetrics {
+        let mut total = ReplayMetrics::default();
+        for chunk in epochs.chunks(per_call) {
+            total.absorb(&eng.replay(chunk, db, board).unwrap());
+        }
+        total
+    }
+
     #[test]
-    fn pipelined_and_serial_datapaths_match() {
-        // The pipelined dispatcher (any depth) must produce state
-        // identical to the inline-dispatch serial datapath and to the
-        // serial oracle.
+    fn replay_call_granularity_matches_serial_oracle() {
+        // However the stream is cut into `replay` calls, the dispatcher
+        // pipeline must produce state identical to the serial oracle at
+        // the final and a mid-stream snapshot.
         let w = tpcc::generate(&TpccConfig { num_txns: 600, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, 96);
         let db_oracle = MemDb::new(w.table_names.len());
         SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
-        let oracle = db_oracle.digest_at(Timestamp::MAX);
+        let mid = w.txns[w.txns.len() / 2].commit_ts;
 
-        for depth in [0usize, 1, 4] {
+        for per_call in [1, 2, epochs.len()] {
             let eng = AetsEngine::builder(tpcc_grouping(&w))
-                .config(AetsConfig { threads: 3, pipeline_depth: depth, ..Default::default() })
+                .config(AetsConfig { threads: 3, ..Default::default() })
                 .build()
                 .unwrap();
             let db = MemDb::new(w.table_names.len());
-            let m = eng.replay_all(&epochs, &db).unwrap();
-            assert_eq!(m.txns, w.txns.len(), "depth={depth}");
-            assert!(db.all_chains_ordered(), "depth={depth}");
-            assert_eq!(db.digest_at(Timestamp::MAX), oracle, "depth={depth}");
+            let board = VisibilityBoard::builder(eng.board_groups()).build();
+            let m = replay_in_calls(&eng, &epochs, per_call, &db, &board);
+            assert_eq!(m.txns, w.txns.len(), "per_call={per_call}");
+            assert!(db.all_chains_ordered(), "per_call={per_call}");
+            assert_eq!(
+                db.digest_at(Timestamp::MAX),
+                db_oracle.digest_at(Timestamp::MAX),
+                "per_call={per_call}"
+            );
+            assert_eq!(db.digest_at(mid), db_oracle.digest_at(mid), "per_call={per_call} mid");
         }
     }
 
@@ -1491,44 +1457,65 @@ mod tests {
 
     #[test]
     fn persistent_corruption_quarantines_group_and_freezes_watermarks() {
-        for depth in [0usize, 2] {
-            let mut epochs = two_group_epochs();
+        let clean = two_group_epochs();
+        let db_oracle = MemDb::new(3);
+        SerialEngine.replay_all(&clean, &db_oracle).unwrap();
+        for per_call in [1, 2, clean.len()] {
+            let mut epochs = clean.clone();
             epochs[1] = corrupt_first_dml_of(&epochs[1], TableId::new(2));
             let eng = AetsEngine::builder(two_group_grouping())
-                .config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() })
+                .config(AetsConfig { threads: 2, ..Default::default() })
                 .build()
                 .unwrap();
             let db = MemDb::new(3);
             let board = VisibilityBoard::builder(2).build();
             let last_consistent = epochs[0].max_commit_ts;
 
-            let m = eng.replay(&epochs[..2], &db, &board).unwrap();
-            assert!(m.degraded(), "depth={depth}");
-            assert_eq!(m.quarantined_groups, vec![1], "depth={depth}");
-            assert_eq!(eng.quarantined_groups(), vec![1]);
-            // The corrupt record sits in group 1's first mini-txn of epoch
-            // 1, so nothing of that epoch commits there: tg freezes at the
-            // last consistent epoch, and so does the global (else
-            // Algorithm 3's global shortcut would admit queries over the
-            // quarantined group).
-            assert_eq!(board.tg_cmt_ts(GroupId::new(1)), last_consistent, "depth={depth}");
-            assert_eq!(board.global_cmt_ts(), last_consistent, "depth={depth}");
-            // The healthy group replayed the corrupt epoch in full.
-            assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[1].max_commit_ts);
-
             // Quarantine persists across replay calls on the same engine
-            // (the realtime runner replays one epoch per call): the frozen
-            // group never advances, healthy groups keep going.
-            let m = eng.replay(&epochs[2..], &db, &board).unwrap();
-            assert!(m.degraded());
-            assert_eq!(
-                board.tg_cmt_ts(GroupId::new(1)),
-                last_consistent,
-                "quarantined group advanced past its last consistent epoch (depth={depth})"
-            );
-            assert_eq!(board.global_cmt_ts(), last_consistent);
-            assert_eq!(board.tg_cmt_ts(GroupId::new(0)), epochs[2].max_commit_ts);
+            // (the realtime runner replays one epoch per call): once the
+            // corrupt epoch has been replayed, the frozen group never
+            // advances while healthy groups keep going.
+            for (i, chunk) in epochs.chunks(per_call).enumerate() {
+                let m = eng.replay(chunk, &db, &board).unwrap();
+                let end = (i + 1) * per_call;
+                if end < 2 {
+                    assert!(!m.degraded(), "per_call={per_call}");
+                    continue;
+                }
+                assert!(m.degraded(), "per_call={per_call}");
+                assert_eq!(m.quarantined_groups, vec![1], "per_call={per_call}");
+                assert_eq!(eng.quarantined_groups(), vec![1]);
+                // The corrupt record sits in group 1's first mini-txn of
+                // epoch 1, so nothing of that epoch commits there: tg
+                // freezes at the last consistent epoch, and so does the
+                // global (else Algorithm 3's global shortcut would admit
+                // queries over the quarantined group).
+                assert_eq!(
+                    board.tg_cmt_ts(GroupId::new(1)),
+                    last_consistent,
+                    "quarantined group advanced past its last consistent epoch \
+                     (per_call={per_call})"
+                );
+                assert_eq!(board.global_cmt_ts(), last_consistent, "per_call={per_call}");
+                // The healthy group replayed every epoch delivered so far,
+                // the corrupt one included.
+                let last = epochs[end.min(epochs.len()) - 1].max_commit_ts;
+                assert_eq!(board.tg_cmt_ts(GroupId::new(0)), last, "per_call={per_call}");
+            }
             assert!(db.all_chains_ordered());
+            // Up to the freeze the state is the oracle's, and the healthy
+            // group's table holds the whole stream.
+            assert_eq!(
+                db.digest_at(last_consistent),
+                db_oracle.digest_at(last_consistent),
+                "per_call={per_call}"
+            );
+            let hot = TableId::new(0);
+            assert_eq!(
+                db.table(hot).digest_at(Timestamp::MAX),
+                db_oracle.table(hot).digest_at(Timestamp::MAX),
+                "per_call={per_call}"
+            );
         }
     }
 
@@ -1547,34 +1534,41 @@ mod tests {
 
     #[test]
     fn live_regroup_matches_serial_oracle_and_bumps_generation() {
-        // Drive the engine one epoch per replay call (the realtime
-        // runner's shape) and regroup between epochs: the end state must
-        // stay byte-equivalent to the serial oracle, the board must learn
-        // the new generation, and the metrics must count the regroup.
-        for depth in [0usize, 2] {
-            let epochs = two_group_epochs();
-            let db_oracle = MemDb::new(3);
-            SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
+        // Regroup at a `replay` call boundary — between calls when the
+        // stream takes several, at the head of the only call otherwise:
+        // the end state must stay byte-equivalent to the serial oracle,
+        // the board must learn the new generation, and the metrics must
+        // count the regroup.
+        let epochs = two_group_epochs();
+        let db_oracle = MemDb::new(3);
+        SerialEngine.replay_all(&epochs, &db_oracle).unwrap();
+        let mid = epochs[epochs.len() / 2].max_commit_ts;
 
+        for per_call in [1, 2, epochs.len()] {
             let eng = AetsEngine::builder(two_group_grouping())
-                .config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() })
+                .config(AetsConfig { threads: 2, ..Default::default() })
                 .build()
                 .unwrap();
             let db = MemDb::new(3);
             let board = VisibilityBoard::builder(2).build();
-
-            eng.replay(&epochs[..1], &db, &board).unwrap();
-            assert_eq!(board.grouping_gen(), 0);
-
             let handle = eng.reconfigure_handle();
+
+            let mut chunks = epochs.chunks(per_call);
+            let mut m = ReplayMetrics::default();
+            if per_call < epochs.len() {
+                m.absorb(&eng.replay(chunks.next().unwrap(), &db, &board).unwrap());
+                assert_eq!(board.grouping_gen(), 0, "per_call={per_call}");
+            }
             handle.send(Reconfigure::Regroup(regrouped_two_groups())).unwrap();
             assert_eq!(handle.pending(), 1);
-            let m = eng.replay(&epochs[1..], &db, &board).unwrap();
-            assert_eq!(m.regroups_applied, 1, "depth={depth}");
+            for chunk in chunks {
+                m.absorb(&eng.replay(chunk, &db, &board).unwrap());
+            }
+            assert_eq!(m.regroups_applied, 1, "per_call={per_call}");
             assert_eq!(handle.applied(), 1);
             assert_eq!(handle.pending(), 0);
             assert_eq!(eng.grouping_gen(), 1);
-            assert_eq!(board.grouping_gen(), 1, "depth={depth}");
+            assert_eq!(board.grouping_gen(), 1, "per_call={per_call}");
             // Table 1 now maps to group 1 under the installed grouping.
             assert_eq!(eng.grouping().group_of(TableId::new(1)), GroupId::new(1));
 
@@ -1582,8 +1576,9 @@ mod tests {
             assert_eq!(
                 db.digest_at(Timestamp::MAX),
                 db_oracle.digest_at(Timestamp::MAX),
-                "depth={depth}"
+                "per_call={per_call}"
             );
+            assert_eq!(db.digest_at(mid), db_oracle.digest_at(mid), "per_call={per_call} mid");
             // All groups replayed everything: watermarks at the tail.
             let last = epochs.last().unwrap().max_commit_ts;
             assert_eq!(board.global_cmt_ts(), last);

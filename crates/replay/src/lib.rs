@@ -67,8 +67,8 @@ pub use options::{ServiceOptions, ServiceOptionsBuilder};
 pub use recovery::{DurableBackup, DurableOptions, RecoveryReport};
 pub use runner::{run_realtime, RunnerConfig, RunnerOutcome, RunnerQuery, Workload};
 pub use service::{
-    AdmissionMode, BackupNode, BackupNodeBuilder, NodeOptions, OutputKind, QueryHandle,
-    QueryOutput, QuerySpec, ReadSession,
+    BackupNode, BackupNodeBuilder, NodeOptions, OutputKind, QueryHandle, QueryOutput, QuerySpec,
+    ReadSession,
 };
 pub use target::{eval_spec, QueryTarget};
 pub use visibility::{VisibilityBoard, VisibilityBoardBuilder, WaitOutcome};

@@ -71,34 +71,6 @@ pub struct ReplayMetrics {
     /// Epochs re-replayed from the WAL suffix during recovery (bounded by
     /// the epochs since the last checkpoint, not the full history).
     pub recovery_suffix_epochs: u64,
-    /// Fleet: failovers completed (replacement shards bootstrapped and
-    /// rejoined the routing table). Zero outside fleet runs.
-    pub fleet_failovers: u64,
-    /// Fleet: coordinator heartbeat intervals shards failed to report in.
-    pub fleet_heartbeats_missed: u64,
-    /// Fleet: queries routed to shards (one per fanned-out sub-query).
-    pub fleet_queries_routed: u64,
-    /// Fleet: routed queries answered partially because a shard was
-    /// unavailable.
-    pub fleet_queries_partial: u64,
-    /// Transport: sender sessions (re-)established over TCP.
-    pub net_connects: u64,
-    /// Transport: reconnects after a broken session.
-    pub net_reconnects: u64,
-    /// Transport: handshakes whose RESUME point rewound the send cursor.
-    pub net_resyncs: u64,
-    /// Transport: HELLO/RESUME handshakes completed on the receiver.
-    pub net_handshakes: u64,
-    /// Transport: bytes the sender wrote to the wire.
-    pub net_bytes_sent: u64,
-    /// Transport: bytes the receiver read off the wire.
-    pub net_bytes_recv: u64,
-    /// Transport: epoch frames shipped (including resync re-ships).
-    pub net_epochs_shipped: u64,
-    /// Transport: duplicate epoch deliveries dropped by receiver dedup.
-    pub net_epochs_deduped: u64,
-    /// Transport: frames rejected at decode (each tears a session down).
-    pub net_frame_errors: u64,
     /// Adaptive control: `Regroup` commands applied at epoch boundaries.
     pub regroups_applied: u64,
     /// Adaptive control: `SetThreadSplit` commands applied at epoch
@@ -142,9 +114,10 @@ impl ReplayMetrics {
     }
 
     /// Accumulates another run's counters into this one: sums every
-    /// additive counter and duration except `wall` (the caller owns
-    /// end-to-end wall time) and `engine` (identity, not a counter), and
-    /// unions the quarantine sets (sorted, deduped). The union matters
+    /// additive counter and duration, `wall` included (a caller with its
+    /// own end-to-end clock, like the realtime runner, overwrites it),
+    /// skips `engine` (identity, not a counter), and unions the
+    /// quarantine sets (sorted, deduped). The union matters
     /// when runs from *different* engine instances are absorbed — e.g. a
     /// restart-recovery run absorbed into the pre-crash run: each engine
     /// only reports its own ledger, so replacing would silently drop
@@ -154,6 +127,7 @@ impl ReplayMetrics {
         self.entries += other.entries;
         self.bytes += other.bytes;
         self.epochs += other.epochs;
+        self.wall += other.wall;
         self.dispatch_busy += other.dispatch_busy;
         self.replay_busy += other.replay_busy;
         self.commit_busy += other.commit_busy;
@@ -176,19 +150,6 @@ impl ReplayMetrics {
         self.wal_segments_retired += other.wal_segments_retired;
         self.manifest_fallbacks += other.manifest_fallbacks;
         self.recovery_suffix_epochs += other.recovery_suffix_epochs;
-        self.fleet_failovers += other.fleet_failovers;
-        self.fleet_heartbeats_missed += other.fleet_heartbeats_missed;
-        self.fleet_queries_routed += other.fleet_queries_routed;
-        self.fleet_queries_partial += other.fleet_queries_partial;
-        self.net_connects += other.net_connects;
-        self.net_reconnects += other.net_reconnects;
-        self.net_resyncs += other.net_resyncs;
-        self.net_handshakes += other.net_handshakes;
-        self.net_bytes_sent += other.net_bytes_sent;
-        self.net_bytes_recv += other.net_bytes_recv;
-        self.net_epochs_shipped += other.net_epochs_shipped;
-        self.net_epochs_deduped += other.net_epochs_deduped;
-        self.net_frame_errors += other.net_frame_errors;
         self.regroups_applied += other.regroups_applied;
         self.resplits_applied += other.resplits_applied;
         self.reconf_rejected += other.reconf_rejected;
@@ -200,11 +161,11 @@ impl ReplayMetrics {
     ///
     /// Projectable fields are exactly the ones the registry integrates:
     /// throughput counters, busy-time counters, the dispatch/stage
-    /// histogram sums, ingest-resync and durability counters, pool hit
-    /// counts, and the `fleet_*` / `net_*` counter families. Not
-    /// projectable (left at their defaults): `wall` (the
-    /// registry holds no end-to-end clock), `engine`, `gc` node-level
-    /// stats (only pass/pruned totals are exported), and the
+    /// histogram sums, ingest-resync, durability and adaptive-control
+    /// counters, and pool hit counts. Not projectable (left at their
+    /// defaults): `wall` (the registry holds no end-to-end clock),
+    /// `engine`, `gc` node-level stats (only pass/pruned totals are
+    /// exported), and the
     /// `quarantined_groups` *indices* (the registry exports the count
     /// gauge; the index set lives in events and on the engine).
     pub fn project(snap: &TelemetrySnapshot) -> ReplayMetrics {
@@ -236,19 +197,6 @@ impl ReplayMetrics {
             wal_segments_retired: snap.counter_total(names::WAL_SEGMENTS_RETIRED),
             manifest_fallbacks: snap.counter_total(names::MANIFEST_FALLBACKS),
             recovery_suffix_epochs: snap.counter_total(names::RECOVERY_SUFFIX_EPOCHS),
-            fleet_failovers: snap.counter_total(names::FLEET_FAILOVERS),
-            fleet_heartbeats_missed: snap.counter_total(names::FLEET_HEARTBEATS_MISSED),
-            fleet_queries_routed: snap.counter_total(names::FLEET_QUERIES_ROUTED),
-            fleet_queries_partial: snap.counter_total(names::FLEET_QUERIES_PARTIAL),
-            net_connects: snap.counter_total(names::NET_CONNECTS),
-            net_reconnects: snap.counter_total(names::NET_RECONNECTS),
-            net_resyncs: snap.counter_total(names::NET_RESYNCS),
-            net_handshakes: snap.counter_total(names::NET_HANDSHAKES),
-            net_bytes_sent: snap.counter_total(names::NET_BYTES_SENT),
-            net_bytes_recv: snap.counter_total(names::NET_BYTES_RECV),
-            net_epochs_shipped: snap.counter_total(names::NET_EPOCHS_SHIPPED),
-            net_epochs_deduped: snap.counter_total(names::NET_EPOCHS_DEDUPED),
-            net_frame_errors: snap.counter_total(names::NET_FRAME_ERRORS),
             regroups_applied: snap.counter_total(names::ADAPT_REGROUPS),
             resplits_applied: snap.counter_total(names::ADAPT_RESPLITS),
             reconf_rejected: snap.counter_total(names::ADAPT_REJECTED),
@@ -342,45 +290,6 @@ mod tests {
         assert_eq!(m.checkpoints_written, 2);
         assert_eq!(m.dispatch_busy, Duration::from_micros(250));
         assert_eq!(m.wall, Duration::ZERO, "wall is not projectable");
-    }
-
-    #[test]
-    fn project_covers_the_fleet_and_net_families() {
-        use aets_telemetry::{names, Telemetry};
-        let tel = Telemetry::new();
-        tel.registry().counter(names::FLEET_FAILOVERS).add(2);
-        tel.registry().counter(names::FLEET_HEARTBEATS_MISSED).add(5);
-        tel.registry().counter(names::FLEET_QUERIES_ROUTED).add(30);
-        tel.registry().counter(names::FLEET_QUERIES_PARTIAL).add(4);
-        tel.registry().counter(names::NET_CONNECTS).add(3);
-        tel.registry().counter(names::NET_RECONNECTS).add(2);
-        tel.registry().counter(names::NET_RESYNCS).add(1);
-        tel.registry().counter(names::NET_HANDSHAKES).add(3);
-        tel.registry().counter(names::NET_BYTES_SENT).add(9_000);
-        tel.registry().counter(names::NET_BYTES_RECV).add(8_500);
-        tel.registry().counter(names::NET_EPOCHS_SHIPPED).add(64);
-        tel.registry().counter(names::NET_EPOCHS_DEDUPED).add(6);
-        tel.registry().counter(names::NET_FRAME_ERRORS).add(7);
-        let m = ReplayMetrics::project(&tel.snapshot());
-        assert_eq!(m.fleet_failovers, 2);
-        assert_eq!(m.fleet_heartbeats_missed, 5);
-        assert_eq!(m.fleet_queries_routed, 30);
-        assert_eq!(m.fleet_queries_partial, 4);
-        assert_eq!(m.net_connects, 3);
-        assert_eq!(m.net_reconnects, 2);
-        assert_eq!(m.net_resyncs, 1);
-        assert_eq!(m.net_handshakes, 3);
-        assert_eq!(m.net_bytes_sent, 9_000);
-        assert_eq!(m.net_bytes_recv, 8_500);
-        assert_eq!(m.net_epochs_shipped, 64);
-        assert_eq!(m.net_epochs_deduped, 6);
-        assert_eq!(m.net_frame_errors, 7);
-
-        // Absorb sums the new families like any other counter.
-        let mut total = m.clone();
-        total.absorb(&m);
-        assert_eq!(total.net_epochs_shipped, 128);
-        assert_eq!(total.fleet_failovers, 4);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! `FleetOptions` each grew the same knobs independently — a telemetry
 //! handle, an observability bind address, a flight-recorder directory, a
 //! retry policy. [`ServiceOptions`] is the one struct they all embed
-//! now; the old per-struct fields remain as `#[deprecated]` shims that
-//! are honoured when the consolidated field is unset, so existing
-//! configs keep working while call sites migrate.
+//! now, and the only place those knobs live: owners read
+//! `opts.service.*` directly.
 //!
 //! The consolidated struct is also where the adaptive control loop is
 //! switched on: setting [`ServiceOptions::controller`] makes the serving

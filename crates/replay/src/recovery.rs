@@ -60,18 +60,6 @@ pub struct DurableOptions {
     /// pruning at [`VisibilityBoard::gc_watermark`] so the snapshot ships
     /// consolidated chains.
     pub gc_before_checkpoint: bool,
-    /// Bind address of the node's live observability endpoint
-    /// (`/metrics`, `/spans.json`, `/healthz`, …); `None` serves no HTTP.
-    #[deprecated(note = "set `service.obs_addr` (ServiceOptions::builder().obs_addr(..)) instead")]
-    pub obs_addr: Option<String>,
-    /// Directory for degraded-mode flight-recorder bundles: every
-    /// anomaly event (quarantine, failover, resync) dumps a bounded JSON
-    /// bundle of recent spans + events + the metrics snapshot there.
-    /// `None` disables the recorder.
-    #[deprecated(
-        note = "set `service.flight_dir` (ServiceOptions::builder().flight_dir(..)) instead"
-    )]
-    pub flight_dir: Option<PathBuf>,
     /// Consolidated service-layer knobs shared with the query node and
     /// the fleet: telemetry handle, observability endpoint, flight
     /// recorder, retry policy, and the adaptive control loop.
@@ -80,32 +68,13 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        #[allow(deprecated)]
         Self {
             checkpoint_every: 32,
             keep_checkpoints: 2,
             segment: SegmentConfig::default(),
             gc_before_checkpoint: true,
-            obs_addr: None,
-            flight_dir: None,
             service: ServiceOptions::default(),
         }
-    }
-}
-
-impl DurableOptions {
-    /// Effective observability bind address: the consolidated
-    /// [`ServiceOptions::obs_addr`] wins; the deprecated per-struct field
-    /// is honoured when the new one is unset.
-    pub fn effective_obs_addr(&self) -> Option<&str> {
-        #[allow(deprecated)]
-        self.service.obs_addr.as_deref().or(self.obs_addr.as_deref())
-    }
-
-    /// Effective flight-recorder directory, resolved the same way.
-    pub fn effective_flight_dir(&self) -> Option<&std::path::Path> {
-        #[allow(deprecated)]
-        self.service.flight_dir.as_deref().or(self.flight_dir.as_deref())
     }
 }
 
@@ -197,7 +166,7 @@ impl DurableBackup {
         // The flight recorder arms before anything replays, so an
         // anomaly during the recovery suffix itself already dumps a
         // bundle.
-        if let Some(dir) = opts.effective_flight_dir() {
+        if let Some(dir) = opts.service.flight_dir.as_deref() {
             let recorder = FlightRecorder::create(FlightRecorderConfig::new(dir))
                 .map_err(|e| Error::Io(format!("flight recorder at {}: {e}", dir.display())))?;
             telemetry.set_flight_recorder(Some(recorder));
@@ -278,7 +247,7 @@ impl DurableBackup {
             suffix_epochs,
             recovery_wall: t0.elapsed(),
         };
-        let obs = match opts.effective_obs_addr() {
+        let obs = match opts.service.obs_addr.as_deref() {
             Some(addr) => Some(
                 ObsServer::bind(addr, telemetry.clone(), board_health(&board))
                     .map_err(|e| Error::Io(format!("bind obs endpoint {addr}: {e}")))?,
@@ -358,10 +327,6 @@ impl DurableBackup {
         // commit lag against the freshest known primary timestamp.
         self.primary_watermark.fetch_max(epoch.max_commit_ts.as_micros(), Ordering::Relaxed);
         let m = self.engine.replay(std::slice::from_ref(epoch), &self.db, &self.board)?;
-        let wall_us = m.wall.as_micros() as u64;
-        if let Some(bps) = m.bytes.saturating_mul(1_000_000).checked_div(wall_us) {
-            self.telemetry.registry().gauge(names::INGEST_BYTES_PER_SEC).set(bps);
-        }
         self.metrics.absorb(&m);
         self.next_seq = epoch.id.raw() + 1;
         if let Some(ctl) = &mut self.controller {
@@ -581,7 +546,7 @@ impl DurableBackup {
     }
 
     /// Bound address of the live observability endpoint, when
-    /// [`DurableOptions::obs_addr`] asked for one.
+    /// [`ServiceOptions::obs_addr`] asked for one.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
         self.obs.as_ref().map(ObsServer::addr)
     }
@@ -724,6 +689,32 @@ mod tests {
         );
         assert_eq!(node.db().digest_at(Timestamp::MAX), want, "restored digest matches oracle");
         assert_eq!(node.next_seq(), epochs.len() as u64);
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let _ = std::fs::remove_dir_all(&ckpt_dir);
+    }
+
+    #[test]
+    fn ingest_rate_accumulates_replay_wall_time() {
+        let (epochs, num_tables, grouping) = tpcc_stream(600);
+        let wal_dir = scratch("rate-wal");
+        let ckpt_dir = scratch("rate-ckpt");
+        let mut node = DurableBackup::open(
+            &wal_dir,
+            &ckpt_dir,
+            fresh_engine(&grouping),
+            num_tables,
+            DurableOptions::default(),
+            None,
+        )
+        .unwrap();
+        for e in &epochs {
+            node.ingest(e).unwrap();
+        }
+        let m = node.metrics();
+        assert_eq!(m.epochs, epochs.len());
+        assert!(m.wall > Duration::ZERO, "per-ingest replay wall times must be summed");
+        assert!(m.entries_per_sec() > 0.0, "ingest rate must be positive after ingesting");
+        drop(node);
         let _ = std::fs::remove_dir_all(&wal_dir);
         let _ = std::fs::remove_dir_all(&ckpt_dir);
     }

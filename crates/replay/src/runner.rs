@@ -12,7 +12,7 @@
 
 use crate::engines::ReplayEngine;
 use crate::metrics::ReplayMetrics;
-use crate::service::{AdmissionMode, BackupNode, NodeOptions};
+use crate::service::{BackupNode, NodeOptions};
 use aets_common::{Error, Result, TableId, Timestamp};
 use aets_memtable::MemDb;
 use aets_wal::EncodedEpoch;
@@ -107,8 +107,6 @@ pub struct RunnerConfig {
     pub query_workers: usize,
     /// Admission-queue depth of the node.
     pub queue_depth: usize,
-    /// How visibility waits park (event-driven by default).
-    pub admission: AdmissionMode,
 }
 
 impl Default for RunnerConfig {
@@ -120,7 +118,6 @@ impl Default for RunnerConfig {
             telemetry_every: 0,
             query_workers: 2,
             queue_depth: 64,
-            admission: AdmissionMode::EventDriven,
         }
     }
 }
@@ -163,7 +160,6 @@ pub fn run_realtime(
             query_workers: cfg.query_workers,
             queue_depth: cfg.queue_depth,
             default_timeout: cfg.query_timeout,
-            admission: cfg.admission,
             ..Default::default()
         })
         .build()?;

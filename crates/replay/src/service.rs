@@ -47,19 +47,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How queries wait for Algorithm 3 admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Park the thread; `publish_group` / `publish_global` wake exactly
-    /// the waiters each publish decides. The default.
-    #[default]
-    EventDriven,
-    /// Re-check the predicate on a fixed interval
-    /// ([`NodeOptions::poll_interval`]). The pre-redesign behaviour, kept
-    /// for the admission benchmark.
-    SleepPoll,
-}
-
 /// Tunables of the query-serving layer.
 #[derive(Debug, Clone)]
 pub struct NodeOptions {
@@ -71,17 +58,6 @@ pub struct NodeOptions {
     /// Per-query deadline (admission + execution) when the
     /// [`QuerySpec`] carries none.
     pub default_timeout: Duration,
-    /// Admission wait strategy.
-    pub admission: AdmissionMode,
-    /// Re-check interval of [`AdmissionMode::SleepPoll`].
-    pub poll_interval: Duration,
-    /// Bind address of the live observability endpoint (e.g.
-    /// `"127.0.0.1:0"`); `None` serves no HTTP. The endpoint exposes
-    /// `/metrics`, `/snapshot.json`, `/spans.json`, `/events.json`, and a
-    /// `/healthz` that reports 503 with the quarantined groups while the
-    /// node is degraded.
-    #[deprecated(note = "set `service.obs_addr` (ServiceOptions::builder().obs_addr(..)) instead")]
-    pub obs_addr: Option<String>,
     /// Consolidated service-layer knobs shared with the durable backup
     /// and the fleet: telemetry handle, observability endpoint, flight
     /// recorder, retry policy, and the adaptive control loop.
@@ -90,26 +66,12 @@ pub struct NodeOptions {
 
 impl Default for NodeOptions {
     fn default() -> Self {
-        #[allow(deprecated)]
         Self {
             query_workers: 4,
             queue_depth: 64,
             default_timeout: Duration::from_secs(30),
-            admission: AdmissionMode::EventDriven,
-            poll_interval: Duration::from_millis(2),
-            obs_addr: None,
             service: ServiceOptions::default(),
         }
-    }
-}
-
-impl NodeOptions {
-    /// Effective observability bind address: the consolidated
-    /// [`ServiceOptions::obs_addr`] wins; the deprecated per-struct field
-    /// is honoured when the new one is unset.
-    pub fn effective_obs_addr(&self) -> Option<&str> {
-        #[allow(deprecated)]
-        self.service.obs_addr.as_deref().or(self.obs_addr.as_deref())
     }
 }
 
@@ -364,8 +326,6 @@ struct WorkerCtx {
     board: Arc<VisibilityBoard>,
     stats: Arc<ServiceStats>,
     telemetry: Arc<Telemetry>,
-    admission: AdmissionMode,
-    poll_interval: Duration,
 }
 
 /// Health view of a visibility board for the `/healthz` endpoint: OK
@@ -522,8 +482,6 @@ impl BackupNodeBuilder {
                     board: board.clone(),
                     stats: stats.clone(),
                     telemetry: telemetry.clone(),
-                    admission: self.opts.admission,
-                    poll_interval: self.opts.poll_interval,
                 };
                 std::thread::Builder::new()
                     .name(format!("aets-query-{i}"))
@@ -533,7 +491,7 @@ impl BackupNodeBuilder {
             .collect::<Result<Vec<_>>>()?;
         // Mounted last; a bind failure must drain the already-spawned
         // worker pool before surfacing (no node exists yet to Drop).
-        let obs = match self.opts.effective_obs_addr() {
+        let obs = match self.opts.service.obs_addr.as_deref() {
             Some(addr) => match ObsServer::bind(addr, telemetry.clone(), board_health(&board)) {
                 Ok(srv) => Some(srv),
                 Err(e) => {
@@ -701,7 +659,7 @@ impl BackupNode {
     }
 
     /// Bound address of the live observability endpoint, when
-    /// [`NodeOptions::obs_addr`] asked for one. With a `:0` bind this is
+    /// [`ServiceOptions::obs_addr`] asked for one. With a `:0` bind this is
     /// where the ephemeral port landed.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
         self.obs.as_ref().map(ObsServer::addr)
@@ -767,18 +725,7 @@ impl ReadSession<'_> {
         // Fresh resolution per wait: the footprint maps to groups under
         // the engine's current grouping, generation-tagged for the board.
         let (gen, gids) = self.node.engine.board_groups_for_at(&self.tables);
-        let outcome = match self.node.opts.admission {
-            AdmissionMode::EventDriven => {
-                self.node.board.wait_admission_at(&gids, gen, self.qts, timeout)
-            }
-            AdmissionMode::SleepPoll => self.node.board.wait_admission_polling_at(
-                &gids,
-                gen,
-                self.qts,
-                timeout,
-                self.node.opts.poll_interval,
-            ),
-        };
+        let outcome = self.node.board.wait_admission_at(&gids, gen, self.qts, timeout);
         let waited = t0.elapsed();
         self.node.stats.admission_wait.record(waited);
         if let Some(s) = span {
@@ -894,19 +841,7 @@ fn serve_one(ctx: &WorkerCtx, job: &Job) -> Result<QueryOutput> {
             break WaitOutcome::TimedOut;
         }
         let slice = (job.deadline - now).min(SHUTDOWN_SLICE);
-        let o = match ctx.admission {
-            AdmissionMode::EventDriven => {
-                ctx.board.wait_admission_at(&job.gids, job.gen, job.qts, slice)
-            }
-            AdmissionMode::SleepPoll => ctx.board.wait_admission_polling_at(
-                &job.gids,
-                job.gen,
-                job.qts,
-                slice,
-                ctx.poll_interval,
-            ),
-        };
-        match o {
+        match ctx.board.wait_admission_at(&job.gids, job.gen, job.qts, slice) {
             WaitOutcome::TimedOut => {
                 if job.cancel.load(Ordering::Acquire) {
                     return Err(Error::Cancelled);

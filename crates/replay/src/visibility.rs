@@ -393,50 +393,6 @@ impl VisibilityBoard {
         outcome
     }
 
-    /// The pre-redesign sleep-poll admission loop, kept as the baseline
-    /// the event-driven path is benchmarked against
-    /// (`examples/query_service_bench.rs`): re-checks the predicate every
-    /// `interval` instead of parking on publishes.
-    pub fn wait_admission_polling(
-        &self,
-        gids: &[GroupId],
-        qts: Timestamp,
-        timeout: Duration,
-        interval: Duration,
-    ) -> WaitOutcome {
-        self.wait_admission_polling_at(gids, self.grouping_gen(), qts, timeout, interval)
-    }
-
-    /// [`VisibilityBoard::wait_admission_polling`] for callers that
-    /// computed `gids` under an explicit grouping generation — the
-    /// sleep-poll counterpart of [`VisibilityBoard::wait_admission_at`].
-    /// A regroup landing mid-poll makes the cell stale, demoting every
-    /// later re-check to the global-watermark path.
-    pub fn wait_admission_polling_at(
-        &self,
-        gids: &[GroupId],
-        gen: u64,
-        qts: Timestamp,
-        timeout: Duration,
-        interval: Duration,
-    ) -> WaitOutcome {
-        let idx: Vec<usize> = gids.iter().map(|g| g.index()).collect();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_visible_cell(&idx, gen, qts) {
-                return WaitOutcome::Visible;
-            }
-            if self.is_hopeless_cell(&idx, gen, qts) {
-                return WaitOutcome::Quarantined;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return WaitOutcome::TimedOut;
-            }
-            std::thread::sleep(interval.min(deadline - now));
-        }
-    }
-
     /// Blocks until [`VisibilityBoard::is_visible`] holds or `timeout`
     /// elapses. Returns `true` if visibility was reached. Thin wrapper
     /// over [`VisibilityBoard::wait_admission`] for callers that do not
@@ -674,34 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn polling_admission_matches_event_driven_outcomes() {
-        let b = Arc::new(VisibilityBoard::builder(1).build());
-        let tick = Duration::from_millis(2);
-        assert_eq!(
-            b.wait_admission_polling(&[g(0)], Timestamp::from_micros(10), tick * 5, tick),
-            WaitOutcome::TimedOut
-        );
-        let waiter = {
-            let b = b.clone();
-            thread::spawn(move || {
-                b.wait_admission_polling(
-                    &[g(0)],
-                    Timestamp::from_micros(10),
-                    Duration::from_secs(5),
-                    tick,
-                )
-            })
-        };
-        b.publish_group(g(0), Timestamp::from_micros(10));
-        assert_eq!(waiter.join().unwrap(), WaitOutcome::Visible);
-        b.set_quarantined(&[0]);
-        assert_eq!(
-            b.wait_admission_polling(&[g(0)], Timestamp::from_micros(99), tick * 5, tick),
-            WaitOutcome::Quarantined
-        );
-    }
-
-    #[test]
     fn telemetry_board_records_lag_and_gauges() {
         use aets_telemetry::{names, Telemetry};
         let tel = Telemetry::new();
@@ -725,21 +653,6 @@ mod tests {
         b.publish_group(g(1), Timestamp::from_micros(100));
         let snap = tel.snapshot();
         assert_eq!(snap.gauge(names::TG_CMT_TS_US, &aets_telemetry::group_label(1)), Some(990));
-    }
-
-    #[test]
-    fn deprecated_constructor_still_builds_an_instrumented_board() {
-        use aets_telemetry::Telemetry;
-        let tel = Telemetry::new();
-        let clock: aets_telemetry::ClockFn = Arc::new(|| 0);
-        #[allow(deprecated)]
-        let b = VisibilityBoard::builder(2).telemetry(&tel, clock).build();
-        b.publish_group(g(0), Timestamp::from_micros(1));
-        assert_eq!(b.num_groups(), 2);
-        assert!(tel
-            .snapshot()
-            .histogram_summary(names::VISIBILITY_LAG_US, &aets_telemetry::group_label(0))
-            .is_some());
     }
 
     #[test]

@@ -25,9 +25,10 @@ pub struct SimAetsConfig {
     /// Adaptive allocation (λ·n weights) vs even split.
     pub adaptive: bool,
     /// Dispatcher runs on its own thread, overlapping the metadata scan
-    /// of epoch `e+1` with the replay of epoch `e` (mirrors the real
-    /// engine's `pipeline_depth > 0`). Dispatch then only sits on the
-    /// critical path when replay catches up with the dispatcher.
+    /// of epoch `e+1` with the replay of epoch `e`, as the real engine
+    /// always does. Dispatch then only sits on the critical path when
+    /// replay catches up with the dispatcher. `false` models inline
+    /// dispatch, the what-if baseline that prices the overlap.
     pub pipelined: bool,
 }
 

@@ -1,7 +1,7 @@
 //! Drift workloads: deterministic streams whose hot set *moves*.
 //!
-//! The static generators in [`tpcc`](crate::tpcc) and
-//! [`bustracker`](crate::bustracker) hold their access distribution fixed
+//! The static generators in [`crate::tpcc`] and
+//! [`crate::bustracker`] hold their access distribution fixed
 //! for the whole run, which is exactly the regime where a static thread
 //! split and a one-shot grouping are optimal. The adaptive control loop
 //! only earns its keep when the distribution shifts mid-run, so this

@@ -13,25 +13,20 @@
 //! exactly what the worker pool exists for: overlapping the admission
 //! waits of concurrent sessions.
 //!
-//! Three claims are measured, and land in
+//! Two claims are measured, and land in
 //! `results/BENCH_query_service.json` when run from the repo root:
 //!
 //! 1. throughput scales ≥2× from 1 to 4 workers on the scan-heavy mix
-//!    (freshness-margin policy: `qts = watermark + 1.5 epoch gaps`);
+//!    (freshness margin: `qts = watermark + 1.5 epoch gaps`);
 //! 2. mean replay visibility delay (publish lag + half the epoch gap of
 //!    batching staleness) under full query load stays within 10% of a
-//!    no-query baseline;
-//! 3. event-driven admission waits less than the sleep-poll loop at equal
-//!    load. Here every query targets the *next* unpublished watermark, so
-//!    both modes face the identical wait structure and the measured gap
-//!    is pure wake-up latency: parked waiters resume at the publish,
-//!    pollers at their next tick (mean penalty ≈ half the poll interval).
+//!    no-query baseline.
 
 use aets_suite::common::{TableId, Timestamp};
 use aets_suite::memtable::{MemDb, Scan};
 use aets_suite::replay::{
-    AdmissionMode, AetsConfig, AetsEngine, BackupNode, NodeOptions, QuerySpec, QueryTarget,
-    ReplayEngine, SerialEngine, TableGrouping,
+    AetsConfig, AetsEngine, BackupNode, NodeOptions, QuerySpec, QueryTarget, ReplayEngine,
+    SerialEngine, TableGrouping,
 };
 use aets_suite::telemetry::{names, Telemetry};
 use aets_suite::wal::{batch_into_epochs, encode_epoch, EncodedEpoch};
@@ -40,31 +35,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a client picks the snapshot timestamp of its next query.
-#[derive(Clone, Copy)]
-enum QtsPolicy {
-    /// `watermark + margin` (µs), capped at the stream head: a reader
-    /// demanding data fresher than what has replayed.
-    Margin(u64),
-    /// The first epoch watermark strictly above the current global
-    /// watermark: a reader synchronised to the next publish.
-    NextPublish,
-}
-
 struct RunStats {
     served: usize,
     window_s: f64,
     throughput_qps: f64,
     vis_delay_mean_us: f64,
-    queue_wait_mean_us: f64,
     admission_wait_mean_us: f64,
     latency_mean_us: f64,
 }
 
 /// One paced run: a feeder thread replays one epoch per `gap` while
-/// `clients` closed-loop readers query `table` at the policy's `qts`.
-/// Returns throughput over the replay window plus wait/latency/freshness
-/// means from the node's own telemetry.
+/// `clients` closed-loop readers query `table` at `qts = watermark +
+/// margin_us`, capped at the stream head — readers demanding data
+/// fresher than what has replayed. Returns throughput over the replay
+/// window plus wait/latency/freshness means from the node's own
+/// telemetry.
 #[allow(clippy::too_many_arguments)]
 fn pace_and_serve(
     epochs: &[EncodedEpoch],
@@ -73,8 +58,7 @@ fn pace_and_serve(
     gap: Duration,
     workers: usize,
     clients: usize,
-    mode: AdmissionMode,
-    policy: QtsPolicy,
+    margin_us: u64,
     table: TableId,
 ) -> RunStats {
     let tel = Arc::new(Telemetry::new());
@@ -86,12 +70,7 @@ fn pace_and_serve(
     let node = BackupNode::builder()
         .engine(Arc::new(engine))
         .num_tables(num_tables)
-        .options(NodeOptions {
-            query_workers: workers,
-            queue_depth: 64,
-            admission: mode,
-            ..Default::default()
-        })
+        .options(NodeOptions { query_workers: workers, queue_depth: 64, ..Default::default() })
         .build()
         .expect("valid node");
 
@@ -126,15 +105,7 @@ fn pace_and_serve(
             readers.push(scope.spawn(move || {
                 let mut done: Vec<Duration> = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    let wm = node.safe_ts().as_micros();
-                    let qts = match policy {
-                        QtsPolicy::Margin(margin) => (wm + margin).min(last),
-                        QtsPolicy::NextPublish => epochs
-                            .iter()
-                            .map(|e| e.max_commit_ts.as_micros())
-                            .find(|w| *w > wm)
-                            .unwrap_or(last),
-                    };
+                    let qts = (node.safe_ts().as_micros() + margin_us).min(last);
                     // The generic surface: one session over the spec's
                     // footprint, submitted through the admission queue.
                     node.query_one(Timestamp::from_micros(qts), QuerySpec::count(table))
@@ -158,7 +129,6 @@ fn pace_and_serve(
         window_s: window.as_secs_f64(),
         throughput_qps: served as f64 / window.as_secs_f64(),
         vis_delay_mean_us,
-        queue_wait_mean_us: mean(names::QUERY_QUEUE_WAIT_US),
         admission_wait_mean_us: mean(names::QUERY_ADMISSION_WAIT_US),
         latency_mean_us: mean(names::QUERY_LATENCY_US),
     }
@@ -194,14 +164,7 @@ fn pick_scan_table(oracle: &MemDb, num_tables: usize) -> (TableId, Duration) {
 fn main() {
     let workload =
         tpcc::generate(&TpccConfig { num_txns: 12_800, warehouses: 2, ..Default::default() });
-    // Coarse epochs for the scaling / freshness phases, fine epochs for
-    // the admission-mode phase (more publishes = more parked waits).
     let coarse: Vec<_> = batch_into_epochs(workload.txns.clone(), 128)
-        .expect("positive epoch size")
-        .iter()
-        .map(encode_epoch)
-        .collect();
-    let fine: Vec<_> = batch_into_epochs(workload.txns.clone(), 64)
         .expect("positive epoch size")
         .iter()
         .map(encode_epoch)
@@ -218,25 +181,19 @@ fn main() {
     // Pacing with headroom over this machine's replay cost, and a
     // freshness margin of 1.5 gaps so margin-policy queries always park.
     let gap = Duration::from_millis(40);
-    let fine_gap = Duration::from_millis(20);
-    let margin = QtsPolicy::Margin(gap.as_micros() as u64 * 3 / 2);
-    println!(
-        "stream: {} txns; scaling phase {} epochs @ {gap:?}, admission phase {} epochs @ {fine_gap:?}",
-        workload.txns.len(),
-        coarse.len(),
-        fine.len(),
-    );
+    let margin = gap.as_micros() as u64 * 3 / 2;
+    println!("stream: {} txns; {} epochs @ {gap:?}", workload.txns.len(), coarse.len());
 
-    let run = |epochs: &[EncodedEpoch], gap, workers, clients, mode, policy| {
-        pace_and_serve(epochs, n, &grouping, gap, workers, clients, mode, policy, table)
+    let run = |workers, clients| {
+        pace_and_serve(&coarse, n, &grouping, gap, workers, clients, margin, table)
     };
     println!("\n-- replay baseline (no queries) --");
-    let base = run(&coarse, gap, 1, 0, AdmissionMode::EventDriven, margin);
+    let base = run(1, 0);
     println!("visibility delay mean {:.0}us", base.vis_delay_mean_us);
 
-    println!("\n-- worker scaling, event-driven admission --");
-    let one = run(&coarse, gap, 1, 1, AdmissionMode::EventDriven, margin);
-    let four = run(&coarse, gap, 4, 4, AdmissionMode::EventDriven, margin);
+    println!("\n-- worker scaling --");
+    let one = run(1, 1);
+    let four = run(4, 4);
     let scaling = four.throughput_qps / one.throughput_qps;
     for (label, s) in [("1 worker", &one), ("4 workers", &four)] {
         println!(
@@ -256,30 +213,9 @@ fn main() {
         four.vis_delay_mean_us, base.vis_delay_mean_us, vis_ratio
     );
 
-    println!("\n-- admission modes at equal load (4 workers, 4 clients, next-publish queries) --");
-    let poll_ms = NodeOptions::default().poll_interval.as_secs_f64() * 1e3;
-    let event = run(&fine, fine_gap, 4, 4, AdmissionMode::EventDriven, QtsPolicy::NextPublish);
-    let poll = run(&fine, fine_gap, 4, 4, AdmissionMode::SleepPoll, QtsPolicy::NextPublish);
-    let event_wait = event.queue_wait_mean_us + event.admission_wait_mean_us;
-    let poll_wait = poll.queue_wait_mean_us + poll.admission_wait_mean_us;
-    for (label, s, w) in [("event-driven", &event, event_wait), ("sleep-poll", &poll, poll_wait)] {
-        println!(
-            "{label}: mean wait {:.2}ms (queue {:.2}ms + admission {:.2}ms) over {} queries",
-            w / 1e3,
-            s.queue_wait_mean_us / 1e3,
-            s.admission_wait_mean_us / 1e3,
-            s.served,
-        );
-    }
-    println!(
-        "event-driven saves {:.2}ms mean wait vs {poll_ms:.0}ms-interval polling",
-        (poll_wait - event_wait) / 1e3
-    );
-
     let scaling_ok = scaling >= 2.0;
     let vis_ok = vis_ratio <= 1.10;
-    let wait_ok = event_wait < poll_wait;
-    println!("\nacceptance: scaling {scaling_ok} / visibility {vis_ok} / event-vs-poll {wait_ok}");
+    println!("\nacceptance: scaling {scaling_ok} / visibility {vis_ok}");
 
     if std::path::Path::new("results").is_dir() {
         let json = format!(
@@ -292,10 +228,6 @@ fn main() {
              \"freshness_phase\": {{\n    \
              \"vis_delay_baseline_us\": {:.0}, \"vis_delay_under_load_us\": {:.0},\n    \
              \"ratio\": {:.3}, \"target\": 1.10\n  }},\n  \
-             \"admission_phase\": {{\n    \"epochs\": {}, \"epoch_gap_ms\": {}, \
-             \"poll_interval_ms\": {poll_ms:.1},\n    \
-             \"event_driven_mean_wait_us\": {:.0}, \"sleep_poll_mean_wait_us\": {:.0},\n    \
-             \"event_driven_queries\": {}, \"sleep_poll_queries\": {}\n  }},\n  \
              \"all_targets_met\": {}\n}}\n",
             workload.txns.len(),
             table.raw(),
@@ -308,13 +240,7 @@ fn main() {
             base.vis_delay_mean_us,
             four.vis_delay_mean_us,
             vis_ratio,
-            fine.len(),
-            fine_gap.as_millis(),
-            event_wait,
-            poll_wait,
-            event.served,
-            poll.served,
-            scaling_ok && vis_ok && wait_ok,
+            scaling_ok && vis_ok,
         );
         std::fs::write("results/BENCH_query_service.json", json).expect("write results");
         println!("wrote results/BENCH_query_service.json");

@@ -98,10 +98,23 @@ fn tiny_epochs_still_converge() {
     check_workload(w, 7);
 }
 
+/// Replays `epochs` through `eng` in consecutive `replay` calls of
+/// `per_call` epochs each; returns the transactions replayed.
+fn replay_in_calls(
+    eng: &AetsEngine,
+    epochs: &[EncodedEpoch],
+    per_call: usize,
+    db: &MemDb,
+    board: &VisibilityBoard,
+) -> usize {
+    epochs.chunks(per_call).map(|chunk| eng.replay(chunk, db, board).unwrap().txns).sum()
+}
+
 /// The pipelined datapath (dispatcher thread + bounded channel) must be
-/// invisible in the final MVCC state: every pipeline depth, including the
-/// inline-dispatch serial datapath (`depth = 0`), converges to the serial
-/// oracle on both TPC-C and BusTracker streams.
+/// invisible in the final MVCC state: however the stream is cut into
+/// `replay` calls — one epoch each (the realtime runner's shape), two, or
+/// the whole stream at once — AETS converges to the serial oracle on both
+/// TPC-C and BusTracker streams.
 #[test]
 fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
     let workloads = [
@@ -121,7 +134,7 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
         let want_mid = oracle.digest_at(mid);
 
         let written: FxHashSet<TableId> = w.written_tables();
-        for depth in [0usize, 1, 3] {
+        for per_call in [1, 2, epochs.len()] {
             let grouping = TableGrouping::per_table(n, &w.analytic_tables, |t| {
                 if written.contains(&t) {
                     50.0
@@ -130,24 +143,25 @@ fn pipelined_aets_matches_oracle_on_tpcc_and_bustracker() {
                 }
             });
             let eng = AetsEngine::builder(grouping)
-                .config(AetsConfig { threads: 3, pipeline_depth: depth, ..Default::default() })
+                .config(AetsConfig { threads: 3, ..Default::default() })
                 .build()
                 .unwrap();
             let db = MemDb::new(n);
-            let m = eng.replay_all(&epochs, &db).unwrap();
-            assert_eq!(m.txns, w.txns.len(), "depth={depth} txn count");
-            assert!(db.all_chains_ordered(), "depth={depth} version order");
-            assert_eq!(db.digest_at(Timestamp::MAX), want, "depth={depth} final state");
-            assert_eq!(db.digest_at(mid), want_mid, "depth={depth} mid snapshot");
+            let board = VisibilityBoard::builder(eng.board_groups()).build();
+            let txns = replay_in_calls(&eng, &epochs, per_call, &db, &board);
+            assert_eq!(txns, w.txns.len(), "per_call={per_call} txn count");
+            assert!(db.all_chains_ordered(), "per_call={per_call} version order");
+            assert_eq!(db.digest_at(Timestamp::MAX), want, "per_call={per_call} final state");
+            assert_eq!(db.digest_at(mid), want_mid, "per_call={per_call} mid snapshot");
         }
     }
 }
 
 /// The lock-free SPSC commit queues inside AETS must be linearizable:
 /// under heavy producer/consumer contention (more worker threads than
-/// cores see groups, single-digit epochs, deep pipeline) the committed
-/// MVCC state must still be byte-identical to the serial oracle's at
-/// every probed snapshot. The schedule is pinned by a seed so a CI
+/// cores see groups, single-digit epochs, any cut into `replay` calls)
+/// the committed MVCC state must still be byte-identical to the serial
+/// oracle's at every probed snapshot. The schedule is pinned by a seed so a CI
 /// failure replays exactly; override with `AETS_TEST_SEED=<u64>`.
 #[test]
 fn spsc_commit_queues_linearize_under_contention() {
@@ -169,7 +183,7 @@ fn spsc_commit_queues_linearize_under_contention() {
         let num_txns = 400 + (splitmix(&mut rng) % 400) as usize;
         let epoch_size = 1 + (splitmix(&mut rng) % 24) as usize;
         let threads = 2 + (splitmix(&mut rng) % 6) as usize;
-        let depth = (splitmix(&mut rng) % 4) as usize;
+        let per_call_pick = (splitmix(&mut rng) % 3) as usize;
         let w = tpcc::generate(&tpcc::TpccConfig { num_txns, warehouses: 2, ..Default::default() });
         let epochs = encode(&w, epoch_size);
         let n = w.num_tables();
@@ -178,20 +192,22 @@ fn spsc_commit_queues_linearize_under_contention() {
         let want = oracle.digest_at(Timestamp::MAX);
         let mid = w.txns[w.txns.len() / 2].commit_ts;
         let want_mid = oracle.digest_at(mid);
+        let per_call = [1, 2, epochs.len()][per_call_pick];
 
         let k = 1 + (splitmix(&mut rng) % 4) as usize;
         let grouping = round_robin_grouping(n, k.min(n), &w.analytic_tables);
         let eng = AetsEngine::builder(grouping)
-            .config(AetsConfig { threads, pipeline_depth: depth, ..Default::default() })
+            .config(AetsConfig { threads, ..Default::default() })
             .build()
             .unwrap();
         let db = MemDb::new(n);
-        let m = eng.replay_all(&epochs, &db).unwrap();
+        let board = VisibilityBoard::builder(eng.board_groups()).build();
+        let txns = replay_in_calls(&eng, &epochs, per_call, &db, &board);
         let tag = format!(
             "seed={seed:#x} round={round} txns={num_txns} epoch={epoch_size} \
-             threads={threads} depth={depth} groups={k}"
+             threads={threads} per_call={per_call} groups={k}"
         );
-        assert_eq!(m.txns, w.txns.len(), "{tag}: txn count");
+        assert_eq!(txns, w.txns.len(), "{tag}: txn count");
         assert!(db.all_chains_ordered(), "{tag}: version order");
         assert_eq!(db.digest_at(Timestamp::MAX), want, "{tag}: final state");
         assert_eq!(db.digest_at(mid), want_mid, "{tag}: mid snapshot");
@@ -240,7 +256,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Epoch-barrier invariant under randomized epoch sizes, group
-    /// counts, and pipeline depths: while replay runs, `global_cmt_ts`
+    /// counts, and cuts of the stream into `replay` calls (one epoch,
+    /// two, or all per call): while replay runs, `global_cmt_ts`
     /// and every `tg_cmt_ts` only ever advance, and no group's published
     /// watermark drops below the global one — the global mark only moves
     /// once an epoch is fully replayed, so a group observed behind it
@@ -250,7 +267,7 @@ proptest! {
         num_txns in 50usize..250,
         epoch_size in 1usize..64,
         num_groups in 1usize..5,
-        depth in 0usize..4,
+        per_call_pick in 0usize..3,
     ) {
         let w = tpcc::generate(&tpcc::TpccConfig {
             num_txns,
@@ -261,8 +278,9 @@ proptest! {
         let n = w.num_tables();
         let grouping = round_robin_grouping(n, num_groups.min(n), &w.analytic_tables);
         let ng = grouping.num_groups();
-        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, pipeline_depth: depth, ..Default::default() }).build()
+        let eng = AetsEngine::builder(grouping).config(AetsConfig { threads: 2, ..Default::default() }).build()
         .unwrap();
+        let per_call = [1, 2, epochs.len()][per_call_pick];
 
         let db = MemDb::new(n);
         let board = VisibilityBoard::builder(ng).build();
@@ -297,9 +315,9 @@ proptest! {
                 }
                 None
             });
-            let m = eng.replay(&epochs, &db, &board).unwrap();
+            let txns = replay_in_calls(&eng, &epochs, per_call, &db, &board);
             stop.store(true, Ordering::Release);
-            prop_assert_eq!(m.txns, w.txns.len());
+            prop_assert_eq!(txns, w.txns.len());
             observer.join().expect("observer panicked")
         });
         prop_assert!(violation.is_none(), "{}", violation.unwrap_or_default());
@@ -315,5 +333,7 @@ proptest! {
         SerialEngine.replay_all(&epochs, &oracle).unwrap();
         prop_assert!(db.all_chains_ordered());
         prop_assert_eq!(db.digest_at(Timestamp::MAX), oracle.digest_at(Timestamp::MAX));
+        let mid = w.txns[w.txns.len() / 2].commit_ts;
+        prop_assert_eq!(db.digest_at(mid), oracle.digest_at(mid));
     }
 }
